@@ -16,6 +16,16 @@
 //   * inlier — nothing outlying: one full-space evaluation, one downward
 //     propagation deciding everything.
 //
+// Those two take one or two steps, so they show construction and a single
+// sweep but not per-step propagation cost. A third, multi-step scenario
+// runs on the dense backend only:
+//
+//   * planted — a subspace is outlying iff it contains one of four fixed
+//     pseudo-random subspaces of max(2, d/4) dimensions, so the walk needs
+//     many level steps, each ending in a Propagate over a partly decided
+//     lattice. (Its mid levels hold C(d, d/2) masks, which the sparse
+//     backend would have to enumerate per step past d = 22.)
+//
 // The dense backend is reported "unsupported" past its d = 22 cap — that
 // is the point of the sparse backend. Peak memory is approximated as the
 // VmRSS delta across each case (allocator reuse and arena caching make
@@ -31,6 +41,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/rng.h"
 #include "src/common/timer.h"
 #include "src/lattice/saving_factors.h"
 
@@ -56,6 +67,32 @@ long ReadStatusKb(const char* key) {
   return value;
 }
 
+enum class Scenario { kOutlierBand, kInlier, kPlanted };
+
+const char* ScenarioName(Scenario scenario) {
+  switch (scenario) {
+    case Scenario::kOutlierBand: return "outlier_band";
+    case Scenario::kInlier: return "inlier";
+    case Scenario::kPlanted: return "planted";
+  }
+  return "";
+}
+
+/// The planted scenario's outlier generators: four fixed pseudo-random
+/// subspaces of max(2, d/4) dimensions each.
+std::vector<uint64_t> PlantedSeeds(int d) {
+  Rng rng(7);
+  std::vector<uint64_t> seeds;
+  for (int i = 0; i < 4; ++i) {
+    uint64_t seed = 0;
+    for (size_t dim : rng.SampleWithoutReplacement(d, std::max(2, d / 4))) {
+      seed |= uint64_t{1} << dim;
+    }
+    seeds.push_back(seed);
+  }
+  return seeds;
+}
+
 struct CaseResult {
   int d = 0;
   std::string backend;
@@ -68,14 +105,27 @@ struct CaseResult {
 };
 
 /// One full synthetic dynamic-search drive; truth is monotone by
-/// construction (everything outlying, or nothing).
-CaseResult Drive(int d, lattice::LatticeBackend backend, bool all_outlying) {
+/// construction (everything outlying, nothing, or the up-closure of the
+/// planted seeds).
+CaseResult Drive(int d, lattice::LatticeBackend backend, Scenario scenario) {
   CaseResult result;
   result.d = d;
   result.backend =
       backend == lattice::LatticeBackend::kDense ? "dense" : "sparse";
-  result.scenario = all_outlying ? "outlier_band" : "inlier";
+  result.scenario = ScenarioName(scenario);
   const auto priors = lattice::PruningPriors::Flat(d);
+  const std::vector<uint64_t> planted = PlantedSeeds(d);
+  auto outlying = [&](uint64_t mask) {
+    switch (scenario) {
+      case Scenario::kOutlierBand: return true;
+      case Scenario::kInlier: return false;
+      case Scenario::kPlanted:
+        return std::any_of(planted.begin(), planted.end(), [&](uint64_t s) {
+          return (mask & s) == s;
+        });
+    }
+    return false;
+  };
 
   double total_seconds = 0.0;
   for (int rep = 0; rep < Repetitions(); ++rep) {
@@ -89,7 +139,7 @@ CaseResult Drive(int d, lattice::LatticeBackend backend, bool all_outlying) {
       const int m = lattice::BestLevel(priors, state);
       if (m == 0) break;
       for (uint64_t mask : state.UndecidedMasks(m)) {
-        state.MarkEvaluated(Subspace(mask), all_outlying);
+        state.MarkEvaluated(Subspace(mask), outlying(mask));
         ++evals;
       }
       state.Propagate();
@@ -124,10 +174,10 @@ void WriteJson(const std::vector<CaseResult>& cases, const std::string& path) {
       "  \"note\": \"Pure lattice machinery (synthetic monotone verdicts, "
       "no kNN). rss_delta_kb is the VmRSS delta across a case — a floor on "
       "per-case peak memory, since the allocator reuses freed arenas "
-      "(vm_hwm_kb is the process-wide high-water mark). Produced on the "
-      "same 1-core container as the other BENCH files; wall times are "
-      "single-threaded by construction, so cores do not affect them, but "
-      "absolute numbers carry the container's CPU variance.\",\n"
+      "(vm_hwm_kb is the process-wide high-water mark). Wall times are "
+      "single-threaded by construction, so the core count does not affect "
+      "them, but absolute numbers carry the host's CPU variance. Only the "
+      "planted scenario takes more than two propagation steps.\",\n"
       "  \"cases\": [\n",
       bench::ProvenanceJsonFields().c_str(),
       bench::SmokeMode() ? "true" : "false", Repetitions(),
@@ -162,8 +212,13 @@ void Run(const std::string& path) {
   for (int d : bench::SmokeSweep<int>({12, 18, 22, 26, 32})) {
     for (lattice::LatticeBackend backend :
          {lattice::LatticeBackend::kDense, lattice::LatticeBackend::kSparse}) {
-      for (bool all_outlying : {true, false}) {
-        CaseResult c = Drive(d, backend, all_outlying);
+      for (Scenario scenario :
+           {Scenario::kOutlierBand, Scenario::kInlier, Scenario::kPlanted}) {
+        if (scenario == Scenario::kPlanted &&
+            backend != lattice::LatticeBackend::kDense) {
+          continue;
+        }
+        CaseResult c = Drive(d, backend, scenario);
         if (c.supported) {
           std::printf(
               "d=%2d %-6s %-12s %8.3f ms  evals=%llu steps=%llu "

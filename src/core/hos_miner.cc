@@ -1,6 +1,8 @@
 #include "src/core/hos_miner.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "src/core/threshold.h"
@@ -16,6 +18,20 @@ namespace {
 /// amortising one traversal/sweep over a full kernel query tile
 /// (kernels::kQueryBlock = 8) twice over.
 constexpr size_t kScreenBlock = 16;
+
+/// InvalidArgument naming the first NaN or infinite coordinate of `values`:
+/// min-max normalisation and kNN distances are meaningless on them (an
+/// infinite row flattens its column and reads as an inlier everywhere).
+Status CheckFinite(const std::vector<double>& values, const std::string& what) {
+  for (size_t j = 0; j < values.size(); ++j) {
+    if (!std::isfinite(values[j])) {
+      return Status::InvalidArgument(what + " has a non-finite value (" +
+                                     std::to_string(values[j]) +
+                                     ") in dimension " + std::to_string(j + 1));
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -129,6 +145,7 @@ Result<QueryResult> HosMiner::QueryPoint(std::vector<double> raw_point) const {
         "query point has " + std::to_string(raw_point.size()) +
         " dimensions, dataset has " + std::to_string(dataset_->num_dims()));
   }
+  HOS_RETURN_IF_ERROR(CheckFinite(raw_point, "query point"));
   normalizer_.ApplyToPoint(&raw_point);
   return RunSearch(raw_point, std::nullopt, QueryOptions{});
 }
@@ -376,7 +393,8 @@ Result<uint64_t> HosMiner::Append(
 Result<std::vector<std::vector<double>>> HosMiner::PrepareAppend(
     const std::vector<std::vector<double>>& raw_rows) const {
   // Width must be validated *before* normalization: ApplyToPoint asserts
-  // on a mis-sized point. This keeps the whole append all-or-nothing.
+  // on a mis-sized point. Validating every row (width and finiteness)
+  // first keeps the whole append all-or-nothing.
   const int d = dataset_->num_dims();
   for (size_t i = 0; i < raw_rows.size(); ++i) {
     if (static_cast<int>(raw_rows[i].size()) != d) {
@@ -385,6 +403,8 @@ Result<std::vector<std::vector<double>>> HosMiner::PrepareAppend(
           std::to_string(raw_rows[i].size()) + " dimensions, dataset has " +
           std::to_string(d));
     }
+    HOS_RETURN_IF_ERROR(
+        CheckFinite(raw_rows[i], "appended row " + std::to_string(i)));
   }
   std::vector<std::vector<double>> normalized = raw_rows;
   for (std::vector<double>& row : normalized) {

@@ -201,7 +201,8 @@ class HosMiner {
                             const QueryOptions& options) const;
 
   /// Finds the outlying subspaces of an external point given in *raw*
-  /// (pre-normalisation) coordinates.
+  /// (pre-normalisation) coordinates. A wrong width or a NaN/infinite
+  /// coordinate is InvalidArgument.
   Result<QueryResult> QueryPoint(std::vector<double> raw_point) const;
 
   /// Batch form of Query.
@@ -287,7 +288,8 @@ class HosMiner {
   /// dataset version. Marks the learned pruning priors stale (answers are
   /// unaffected — priors only steer search order — so refreshing is lazy:
   /// call RefreshLearning when delta-heavy query plans degrade).
-  /// Equivalent to PrepareAppend + CommitAppend.
+  /// Equivalent to PrepareAppend + CommitAppend. A row of the wrong width
+  /// or with a NaN/infinite value is InvalidArgument and appends nothing.
   Result<uint64_t> Append(const std::vector<std::vector<double>>& raw_rows);
 
   /// Validation + normalization half of Append: read-only (safe to run

@@ -1,6 +1,7 @@
 #include "src/data/csv.h"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -32,6 +33,11 @@ Result<double> ParseDouble(const std::string& s, size_t row, size_t col) {
   auto [ptr, ec] = std::from_chars(begin, end, value);
   if (ec != std::errc() || ptr != end || begin == end) {
     return Status::InvalidArgument("cannot parse '" + s + "' as number at row " +
+                                   std::to_string(row + 1) + ", column " +
+                                   std::to_string(col + 1));
+  }
+  if (!std::isfinite(value)) {
+    return Status::InvalidArgument("non-finite value '" + s + "' at row " +
                                    std::to_string(row + 1) + ", column " +
                                    std::to_string(col + 1));
   }

@@ -18,7 +18,8 @@ struct CsvOptions {
 };
 
 /// Parses CSV text into a Dataset. Every row must have the same number of
-/// numeric fields; parse failures report row/column positions.
+/// numeric fields; parse failures and non-finite cells ("nan", "inf") are
+/// InvalidArgument naming the row/column position.
 Result<Dataset> ParseCsv(const std::string& text,
                          const CsvOptions& options = {});
 

@@ -32,38 +32,11 @@ void LatticeStore::MarkEvaluated(const Subspace& s, bool outlier) {
     RecordEvaluated(s.mask(), SubspaceState::kEvaluatedOutlier);
     ++evaluated_outliers_[m];
     evaluated_outlier_list_.push_back(s);
-    // Keep the outlier seed set minimal: skip if a known seed is already a
-    // subset; drop known seeds that are supersets of the new one.
-    bool dominated = false;
-    for (const Subspace& seed : minimal_outlier_seeds_) {
-      if (seed.IsSubsetOf(s)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) {
-      std::erase_if(minimal_outlier_seeds_, [&](const Subspace& seed) {
-        return s.IsProperSubsetOf(seed);
-      });
-      minimal_outlier_seeds_.push_back(s);
-    }
     pending_outlier_seeds_.push_back(s.mask());
   } else {
     RecordEvaluated(s.mask(), SubspaceState::kEvaluatedNonOutlier);
     ++evaluated_non_outliers_[m];
-    bool dominated = false;
-    for (const Subspace& seed : maximal_non_outlier_seeds_) {
-      if (s.IsSubsetOf(seed)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) {
-      std::erase_if(maximal_non_outlier_seeds_, [&](const Subspace& seed) {
-        return seed.IsProperSubsetOf(s);
-      });
-      maximal_non_outlier_seeds_.push_back(s);
-    }
+    evaluated_non_outlier_list_.push_back(s);
     pending_non_outlier_seeds_.push_back(s.mask());
   }
   --undecided_count_[m];
@@ -88,6 +61,41 @@ std::vector<uint64_t> LatticeStore::UndecidedMasks(int m) const {
   out.reserve(std::min(undecided_count_[m], uint64_t{1} << 22));
   ForEachUndecided(m, [&out](uint64_t mask) { out.push_back(mask); });
   return out;
+}
+
+namespace {
+
+/// The minimal elements of `subspaces` (or, with `maximal`, the maximal
+/// ones), sorted by dimensionality — ascending for minimal, descending for
+/// maximal — then by mask. In that order an element can only be dominated
+/// by one kept before it.
+std::vector<Subspace> Antichain(std::vector<Subspace> subspaces,
+                                bool maximal) {
+  std::sort(subspaces.begin(), subspaces.end(),
+            [maximal](const Subspace& a, const Subspace& b) {
+              const int da = a.Dimensionality(), db = b.Dimensionality();
+              if (da != db) return maximal ? da > db : da < db;
+              return a.mask() < b.mask();
+            });
+  std::vector<Subspace> kept;
+  for (const Subspace& s : subspaces) {
+    if (std::none_of(kept.begin(), kept.end(), [&](const Subspace& k) {
+          return maximal ? s.IsSubsetOf(k) : k.IsSubsetOf(s);
+        })) {
+      kept.push_back(s);
+    }
+  }
+  return kept;
+}
+
+}  // namespace
+
+std::vector<Subspace> LatticeStore::minimal_outlier_seeds() const {
+  return Antichain(evaluated_outlier_list_, /*maximal=*/false);
+}
+
+std::vector<Subspace> LatticeStore::maximal_non_outlier_seeds() const {
+  return Antichain(evaluated_non_outlier_list_, /*maximal=*/true);
 }
 
 bool LatticeStore::AllDecided() const {

@@ -9,15 +9,16 @@
 // an *inferred non-outlier* when it is a subset of a known non-outlying
 // subspace (Property 1 / downward pruning).
 //
-// The base class owns everything that is storage-independent: the two seed
-// antichains (minimal known outliers, maximal known non-outliers), the
+// The base class owns everything that is storage-independent: the lists of
+// evaluated verdicts (from which the two seed antichains — minimal known
+// outliers, maximal known non-outliers — are derived on demand), the
 // per-level tallies feeding the TSF formula's f_down / f_up fractions, and
-// the pending-seed queues Propagate() consumes. Backends differ only in how
-// per-mask state is held:
+// the pending-seed queues Propagate() consumes. Marking a verdict is O(1).
+// Backends differ only in how per-mask state is held:
 //
 //  * DenseLatticeStore  — a flat 2^d byte array plus materialised per-level
 //    undecided vectors. O(1) state lookup; memory 2^d, so it is capped at
-//    d <= kDenseMaxDims (22).
+//    d <= kDenseMaxDims (22). Propagate costs O(d * 2^d / 64 + undecided).
 //  * SparseLatticeStore — a hash map holding only explicitly evaluated
 //    masks; everything else is classified on demand against the seed
 //    closures, undecided sets are enumerated lazily, and per-level tallies
@@ -144,15 +145,15 @@ class LatticeStore {
   }
 
   /// Minimal outlying seeds discovered so far (no seed is a superset of
-  /// another). When the search is complete these generate the full outlying
-  /// set as their up-closure.
-  const std::vector<Subspace>& minimal_outlier_seeds() const {
-    return minimal_outlier_seeds_;
-  }
-  /// Maximal non-outlying seeds (no seed is a subset of another).
-  const std::vector<Subspace>& maximal_non_outlier_seeds() const {
-    return maximal_non_outlier_seeds_;
-  }
+  /// another), sorted by (dimensionality, mask). When the search is
+  /// complete these generate the full outlying set as their up-closure.
+  /// Derived from the evaluated outliers on each call, so exact at any
+  /// point of a search; O(evaluated * seeds).
+  std::vector<Subspace> minimal_outlier_seeds() const;
+  /// Maximal non-outlying seeds (no seed is a subset of another), sorted
+  /// by descending dimensionality, then mask. Derived like
+  /// minimal_outlier_seeds().
+  std::vector<Subspace> maximal_non_outlier_seeds() const;
 
   /// All subspaces evaluated as outliers, in evaluation order.
   const std::vector<Subspace>& evaluated_outlier_list() const {
@@ -178,9 +179,8 @@ class LatticeStore {
   std::vector<uint64_t> evaluated_non_outliers_;
   std::vector<uint64_t> inferred_outliers_;
   std::vector<uint64_t> inferred_non_outliers_;
-  std::vector<Subspace> minimal_outlier_seeds_;
-  std::vector<Subspace> maximal_non_outlier_seeds_;
   std::vector<Subspace> evaluated_outlier_list_;
+  std::vector<Subspace> evaluated_non_outlier_list_;
   std::vector<uint64_t> pending_outlier_seeds_;
   std::vector<uint64_t> pending_non_outlier_seeds_;
 };

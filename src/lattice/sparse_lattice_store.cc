@@ -8,6 +8,30 @@
 
 namespace hos::lattice {
 
+namespace {
+
+/// Adds each of `seeds` to the antichain `kept` of minimal masks (or, with
+/// `maximal`, maximal ones): a seed dominated by a kept mask is dropped, and
+/// kept masks it dominates are removed.
+void FoldIntoAntichain(const std::vector<uint64_t>& seeds, bool maximal,
+                       std::vector<uint64_t>* kept) {
+  // True when `a` makes `b` redundant: a subset of it (minimal) or a
+  // superset (maximal).
+  auto dominates = [maximal](uint64_t a, uint64_t b) {
+    return maximal ? (a & b) == b : (a & b) == a;
+  };
+  for (uint64_t seed : seeds) {
+    if (std::any_of(kept->begin(), kept->end(),
+                    [&](uint64_t k) { return dominates(k, seed); })) {
+      continue;
+    }
+    std::erase_if(*kept, [&](uint64_t k) { return dominates(seed, k); });
+    kept->push_back(seed);
+  }
+}
+
+}  // namespace
+
 SparseLatticeStore::SparseLatticeStore(int num_dims)
     : LatticeStore(num_dims) {
   level_size_.assign(num_dims + 1, 0);
@@ -48,20 +72,14 @@ void SparseLatticeStore::Propagate() {
   if (pending_outlier_seeds_.empty() && pending_non_outlier_seeds_.empty()) {
     return;
   }
-  // Applying the pending seeds makes the decided region exactly the
-  // closures of the *current* antichains (the up-closure of the minimal
-  // outlier seeds equals the up-closure of every outlier ever evaluated,
-  // and dually below), so the snapshot is the whole truth.
-  applied_up_seeds_.clear();
-  applied_up_seeds_.reserve(minimal_outlier_seeds_.size());
-  for (const Subspace& s : minimal_outlier_seeds_) {
-    applied_up_seeds_.push_back(s.mask());
-  }
-  applied_down_seeds_.clear();
-  applied_down_seeds_.reserve(maximal_non_outlier_seeds_.size());
-  for (const Subspace& s : maximal_non_outlier_seeds_) {
-    applied_down_seeds_.push_back(s.mask());
-  }
+  // Folding the pending seeds into the applied antichains makes the decided
+  // region exactly their closures (the up-closure of the minimal outlier
+  // seeds equals the up-closure of every outlier ever evaluated, and dually
+  // below), so the snapshot is the whole truth.
+  FoldIntoAntichain(pending_outlier_seeds_, /*maximal=*/false,
+                    &applied_up_seeds_);
+  FoldIntoAntichain(pending_non_outlier_seeds_, /*maximal=*/true,
+                    &applied_down_seeds_);
   pending_outlier_seeds_.clear();
   pending_non_outlier_seeds_.clear();
   RecomputeLevelTallies();

@@ -6,8 +6,8 @@
 // the search actually touches, not with 2^d.
 //
 // To mirror the dense backend exactly, inference becomes visible only at
-// Propagate(): classification runs against a snapshot of the seed
-// antichains taken when Propagate last consumed pending seeds, so a mask
+// Propagate(): classification runs against the seed antichains Propagate
+// keeps, folding in the pending seeds each time it runs, so a mask
 // covered only by a seed evaluated since still reads kUndecided — the same
 // observable sequence a dense store produces. Undecided sets are never
 // materialised: ForEachUndecided enumerates the level lazily (Gosper's
@@ -80,8 +80,9 @@ class SparseLatticeStore final : public LatticeStore {
   void RecomputeLevelTallies();
 
   std::unordered_map<uint64_t, SubspaceState> evaluated_;
-  /// Seed masks whose closures Propagate has applied; snapshots of the
-  /// minimal/maximal antichains at the last Propagate with pending seeds.
+  /// Seed masks whose closures Propagate has applied: the minimal outlier
+  /// and maximal non-outlier antichains of every verdict folded in so far,
+  /// kept up to date incrementally because every classification reads them.
   std::vector<uint64_t> applied_up_seeds_;
   std::vector<uint64_t> applied_down_seeds_;
   std::vector<uint64_t> level_size_;  // C(d, m), index by m

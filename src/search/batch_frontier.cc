@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -88,22 +87,40 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
       exec.tracer != nullptr ? "points=" + std::to_string(ods.size())
                              : std::string());
 
-  // mask -> (point, wave slot) pairs needing an exact evaluation this
-  // round, plus the widest filter margin any member saw (the bound-margin
-  // dispatch priority). Ordered by mask so the engine, the tracer and the
-  // store see a deterministic order (OD values are order-independent
-  // regardless).
-  struct PendingGroup {
-    std::vector<std::pair<size_t, size_t>> members;
-    double margin = -std::numeric_limits<double>::infinity();
+  // Round scratch, reused across rounds. `open` holds one entry per
+  // (point, wave slot) the memo and the density filter left open, with the
+  // filter margin that point saw (the bound-margin dispatch priority);
+  // after phase 1 it is sorted by (mask, point), so the points needing
+  // the same subspace form one contiguous group. Mask order gives the
+  // engine, the tracer and the store a deterministic order (OD values are
+  // order-independent regardless).
+  struct OpenEval {
+    uint64_t mask;
+    size_t q;
+    size_t slot;
+    double margin;
   };
-  std::map<uint64_t, PendingGroup> pending;
+  struct Group {
+    size_t begin;
+    size_t end;
+    double margin;
+  };
+  std::vector<OpenEval> open;
+  std::vector<Group> groups;
+  std::vector<SharedOdStore::OdKey> probe_keys;
+  std::vector<size_t> probe_owner;  // index into `open` per probe key
+  std::vector<double> probe_values;
+  std::vector<uint8_t> probe_found;
+  std::vector<size_t> compute;  // indices into `open` of the group in flight
+  std::vector<knn::BatchPointQuery> queries;
+  std::vector<SharedOdStore::OdKey> store_keys;
+  std::vector<double> store_values;
   const bool order_by_margin =
       exec.frontier_ordering == FrontierOrdering::kBoundMargin &&
       filter_active;
 
   while (live > 0) {
-    pending.clear();
+    open.clear();
     obs::ScopedSpan wave_span(
         exec.tracer, "wave", strategy_span.id(),
         exec.tracer != nullptr ? "points=" + std::to_string(live)
@@ -194,76 +211,83 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
             margin = fd.Margin(threshold);
           }
         }
-        PendingGroup& group = pending[mask];
-        group.members.push_back({q, i});
-        group.margin = std::max(group.margin, margin);
+        open.push_back({mask, q, i, margin});
       }
     }
 
-    // Phase 2 — per distinct mask: one multi-probe of the shared store for
-    // the shareable members, ONE fused kNN pass for the rest, one
-    // multi-store write-back. This mirrors the sequential evaluator's
-    // store-probe → kNN → store-write order per (point, mask); the fusion
-    // is where the batch recovers B-1 index traversals per coinciding
-    // subspace.
-    //
+    // Phase 2 — one multi-probe of the shared store for every shareable
+    // open evaluation of the round, then per distinct mask ONE fused kNN
+    // pass for what the store did not answer, then one multi-store
+    // write-back of everything computed. Each (point, mask) still sees the
+    // sequential evaluator's store-probe → kNN → store-write order, and no
+    // two masks share a store key, so batching the probes and writes
+    // across masks changes no value and no hit (only LRU recency, see the
+    // header). The fusion is where the batch recovers B-1 index traversals
+    // per coinciding subspace.
+    std::sort(open.begin(), open.end(),
+              [](const OpenEval& a, const OpenEval& b) {
+                return a.mask != b.mask ? a.mask < b.mask : a.q < b.q;
+              });
+    probe_keys.clear();
+    probe_owner.clear();
+    SharedOdStore* store = nullptr;
+    for (size_t t = 0; t < open.size(); ++t) {
+      const OdEvaluator& od = *runs[open[t].q].od;
+      if (!od.shareable()) continue;
+      assert(store == nullptr || store == od.shared_store());
+      store = od.shared_store();
+      probe_keys.push_back({*od.exclude(), open[t].mask});
+      probe_owner.push_back(t);
+    }
+    if (!probe_keys.empty()) {
+      probe_values.assign(probe_keys.size(), 0.0);
+      probe_found.assign(probe_keys.size(), 0);
+      store->LookupMulti(probe_keys, probe_values, probe_found);
+      for (size_t k = 0; k < probe_keys.size(); ++k) {
+        if (!probe_found[k]) continue;
+        const OpenEval& e = open[probe_owner[k]];
+        PointRun& run = runs[e.q];
+        run.od->Deposit(e.mask, probe_values[k],
+                        OdEvaluator::ValueSource::kSharedStoreHit);
+        run.values[e.slot] = probe_values[k];
+        run.resolved[e.slot] = 1;
+      }
+    }
+
     // Dispatch order: canonical mask order, or widest-margin-first under
     // the bound-margin ordering (stable on mask for determinism). Per-mask
-    // work is self-contained — store keys are (point, mask) — so the order
-    // only schedules execution; every point's merge stays canonical.
-    std::vector<std::pair<const uint64_t, PendingGroup>*> dispatch;
-    dispatch.reserve(pending.size());
-    for (auto& entry : pending) dispatch.push_back(&entry);
+    // work is self-contained, so the order only schedules execution; every
+    // point's merge stays canonical.
+    groups.clear();
+    for (size_t t = 0; t < open.size(); ++t) {
+      if (groups.empty() || open[groups.back().begin].mask != open[t].mask) {
+        groups.push_back({t, t, -kInf});
+      }
+      groups.back().end = t + 1;
+      groups.back().margin = std::max(groups.back().margin, open[t].margin);
+    }
     if (order_by_margin) {
-      std::stable_sort(dispatch.begin(), dispatch.end(),
-                       [](const auto* a, const auto* b) {
-                         return a->second.margin > b->second.margin;
+      std::stable_sort(groups.begin(), groups.end(),
+                       [](const Group& a, const Group& b) {
+                         return a.margin > b.margin;
                        });
     }
-    for (auto* entry : dispatch) {
-      const uint64_t mask = entry->first;
-      std::vector<std::pair<size_t, size_t>>& members = entry->second.members;
-      std::vector<size_t> compute;  // member indices still needing kNN
-      compute.reserve(members.size());
-      std::vector<size_t> probe;
-      std::vector<SharedOdStore::OdKey> keys;
-      SharedOdStore* store = nullptr;
-      for (size_t j = 0; j < members.size(); ++j) {
-        PointRun& run = runs[members[j].first];
-        if (run.od->shareable()) {
-          probe.push_back(j);
-          keys.push_back({*run.od->exclude(), mask});
-          store = run.od->shared_store();
-        } else {
-          compute.push_back(j);
-        }
-      }
-      if (!keys.empty()) {
-        std::vector<double> hit_values(keys.size(), 0.0);
-        std::vector<uint8_t> found(keys.size(), 0);
-        store->LookupMulti(keys, hit_values, found);
-        for (size_t t = 0; t < probe.size(); ++t) {
-          const auto [q, slot] = members[probe[t]];
-          PointRun& run = runs[q];
-          if (found[t]) {
-            run.od->Deposit(mask, hit_values[t],
-                            OdEvaluator::ValueSource::kSharedStoreHit);
-            run.values[slot] = hit_values[t];
-            run.resolved[slot] = 1;
-          } else {
-            compute.push_back(probe[t]);
-          }
-        }
+    store_keys.clear();
+    store_values.clear();
+    for (const Group& group : groups) {
+      const uint64_t mask = open[group.begin].mask;
+      compute.clear();
+      queries.clear();
+      for (size_t t = group.begin; t < group.end; ++t) {
+        const PointRun& run = runs[open[t].q];
+        if (run.resolved[open[t].slot]) continue;  // store hit
+        const OdEvaluator& od = *run.od;
+        compute.push_back(t);
+        queries.push_back({od.point(), od.exclude()});
       }
       if (compute.empty()) continue;
 
-      std::vector<knn::BatchPointQuery> queries;
-      queries.reserve(compute.size());
-      for (size_t j : compute) {
-        const PointRun& run = runs[members[j].first];
-        queries.push_back({run.od->point(), run.od->exclude()});
-      }
-      const OdEvaluator& lead = *runs[members[compute.front()].first].od;
+      const OdEvaluator& lead = *runs[open[compute.front()].q].od;
       obs::ScopedSpan knn_span(
           exec.tracer, "knn-batch", wave_span.id(),
           exec.tracer != nullptr
@@ -273,23 +297,19 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
       const std::vector<double> fresh = knn::OutlyingDegreeBatch(
           lead.engine(), queries, Subspace(mask), lead.k());
 
-      std::vector<SharedOdStore::OdKey> store_keys;
-      std::vector<double> store_values;
-      for (size_t t = 0; t < compute.size(); ++t) {
-        const auto [q, slot] = members[compute[t]];
-        PointRun& run = runs[q];
-        run.od->Deposit(mask, fresh[t], OdEvaluator::ValueSource::kComputed);
-        run.values[slot] = fresh[t];
-        run.resolved[slot] = 1;
+      for (size_t c = 0; c < compute.size(); ++c) {
+        const OpenEval& e = open[compute[c]];
+        PointRun& run = runs[e.q];
+        run.od->Deposit(mask, fresh[c], OdEvaluator::ValueSource::kComputed);
+        run.values[e.slot] = fresh[c];
+        run.resolved[e.slot] = 1;
         if (run.od->shareable()) {
           store_keys.push_back({*run.od->exclude(), mask});
-          store_values.push_back(fresh[t]);
+          store_values.push_back(fresh[c]);
         }
       }
-      if (!store_keys.empty()) {
-        store->StoreMulti(store_keys, store_values);
-      }
     }
+    if (!store_keys.empty()) store->StoreMulti(store_keys, store_values);
 
     // Phase 3 — per participating point: merge the wave in original mask
     // order (the exact seed sequence the sequential loop produces), then

@@ -28,6 +28,12 @@
 //    each other, changing hit/computed tallies (exactly as two sequential
 //    runs with different cache warmth already do). Values never change —
 //    the store only ever returns bitwise-identical memoised doubles.
+//  * Store traffic is batched per round, not per subspace: one
+//    LookupMulti for every open (point, mask) of the round, one
+//    StoreMulti for everything the round computed. No two masks share a
+//    store key, so this can change only the store's LRU recency order —
+//    and through it, at capacity, which entries are evicted — never a
+//    value. Every point must use the same store (or none).
 //  * SearchExecution::speculate is ignored: the batch never speculates
 //    (speculation never changes answers, only the work schedule).
 

@@ -66,7 +66,7 @@ inline SearchOutcome AssembleOutcome(
   outcome.threshold = threshold;
   outcome.evaluated_outliers = state.evaluated_outlier_list();
   outcome.minimal_outlying_subspaces =
-      filter::MinimalSubspaces(state.minimal_outlier_seeds());
+      filter::MinimalSubspaces(state.evaluated_outlier_list());
   outcome.outlier_fraction.assign(d + 1, 0.0);
   for (int m = 1; m <= d; ++m) {
     outcome.outlier_fraction[m] =

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "src/data/generator.h"
 
 namespace hos::core {
@@ -153,6 +156,22 @@ TEST(HosMinerQueryTest, ExternalPointQuery) {
   EXPECT_TRUE(related);
 
   EXPECT_TRUE(miner->QueryPoint({1.0}).status().IsInvalidArgument());
+}
+
+TEST(HosMinerQueryTest, QueryPointRejectsNonFiniteCoordinates) {
+  auto generated = MakePlanted(7);
+  std::vector<double> raw = generated.dataset.RowCopy(0);
+  auto miner = HosMiner::Build(std::move(generated.dataset), {});
+  ASSERT_TRUE(miner.ok());
+  ASSERT_TRUE(miner->QueryPoint(raw).ok());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> point = raw;
+    point.back() = bad;
+    auto result = miner->QueryPoint(point);
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << bad;
+  }
 }
 
 TEST(HosMinerQueryTest, AllBackendsAgree) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -94,6 +95,29 @@ TEST(StreamingMinerTest, AppendValidatesRowWidth) {
   EXPECT_FALSE(bad.ok());
   EXPECT_TRUE(bad.status().IsInvalidArgument());
   EXPECT_EQ(miner.version(), v0);
+  EXPECT_FALSE(miner.learning_stale());
+}
+
+TEST(StreamingMinerTest, AppendRejectsNonFiniteRows) {
+  HosMiner miner = BuildMiner(3);
+  const uint64_t v0 = miner.version();
+  const size_t rows = miner.dataset().size();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    // The bad row comes second: nothing of the batch may land.
+    const std::vector<std::vector<double>> batch = {
+        {0.5, 0.5, 0.5, 0.5, 0.5}, {0.5, 0.5, bad, 0.5, 0.5}};
+    auto prepared = miner.PrepareAppend(batch);
+    EXPECT_TRUE(prepared.status().IsInvalidArgument()) << bad;
+    auto appended = miner.Append(batch);
+    EXPECT_TRUE(appended.status().IsInvalidArgument()) << bad;
+    EXPECT_NE(appended.status().message().find("appended row 1"),
+              std::string::npos)
+        << appended.status().message();
+  }
+  EXPECT_EQ(miner.version(), v0);
+  EXPECT_EQ(miner.dataset().size(), rows);
   EXPECT_FALSE(miner.learning_stale());
 }
 

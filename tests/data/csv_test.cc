@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 namespace hos::data {
 namespace {
@@ -65,6 +66,18 @@ TEST(CsvTest, RejectsNonNumeric) {
   ASSERT_FALSE(result.ok());
   // Error message pinpoints the cell.
   EXPECT_NE(result.status().message().find("row 2"), std::string::npos);
+}
+
+TEST(CsvTest, RejectsNonFiniteCells) {
+  // from_chars accepts these spellings; a dataset must not.
+  for (const char* cell : {"nan", "inf", "-inf", "infinity", "NaN"}) {
+    auto result = ParseCsv(std::string("x,y\n1,2\n3,") + cell + "\n");
+    ASSERT_FALSE(result.ok()) << cell;
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << cell;
+    EXPECT_NE(result.status().message().find("row 3, column 2"),
+              std::string::npos)
+        << result.status().message();
+  }
 }
 
 TEST(CsvTest, RejectsEmptyInput) {
