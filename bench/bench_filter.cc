@@ -1,20 +1,10 @@
 // The density-bound OD pre-filter: exact kNN calls avoided and end-to-end
-// speedup, FilterMode::{off, conservative, speculative}, on the standard
-// planted band-query workload. The conservative row is the headline: the
-// answers_identical flag must be true (it is a contract, enforced by
-// tests/filter/filter_differential_test.cc — the bench reports it so the
-// number next to the speedup is visibly the exact-answer speedup), and the
-// knn_reduction column is how many exact OD evaluations the bounds made
+// time, FilterMode::{off, conservative}, on the standard planted band-query
+// workload. The answers_identical flag must be true (it is a contract,
+// enforced by tests/filter/filter_differential_test.cc — the bench reports
+// it so the number next to the timing is visibly the exact-answer one), and
+// the knn_reduction column is how many exact OD evaluations the bounds made
 // unnecessary.
-//
-// E13 measures the bound-guided scheduling layer on top: after the window
-// slides (append + delete), skip-only PR 8 semantics
-// (incremental_filter_tallies = false — the summary goes stale and only
-// loosens) are compared against the incrementally-maintained tallies with
-// bound-margin frontier ordering and the learned per-level gate. All rows
-// are conservative, so every answer set must stay identical to the
-// filter-off run on the same slid window; the acceptance bar is the
-// od-evaluation (or wall-time) reduction of the ordered row vs skip-only.
 //
 // Also keeps the original refinement-filter table (paper §3.4): total
 // outlying subspaces vs the minimal set returned.
@@ -48,8 +38,6 @@ struct ModeRow {
   std::string mode;
   uint64_t od_evaluations = 0;
   uint64_t bound_decisions = 0;
-  uint64_t risky_decisions = 0;
-  double max_bound_gap = 0.0;
   double seconds = 0.0;
   bool answers_identical = true;  // vs the kOff run of the same queries
 };
@@ -78,10 +66,6 @@ ModeRow RunMode(const core::HosMiner& miner, int d,
     }
     row.od_evaluations += result->outcome.counters.od_evaluations;
     row.bound_decisions += result->outcome.counters.bound_decisions;
-    row.risky_decisions += result->outcome.counters.risky_decisions;
-    if (result->outcome.counters.bound_gap > row.max_bound_gap) {
-      row.max_bound_gap = result->outcome.counters.bound_gap;
-    }
     std::vector<uint64_t> masks;
     for (const Subspace& s : result->outlying_subspaces()) {
       masks.push_back(s.mask());
@@ -90,229 +74,11 @@ ModeRow RunMode(const core::HosMiner& miner, int d,
   }
   row.seconds = timer.ElapsedSeconds();
   return row;
-}
-
-// ---------------------------------------------------------------------------
-// E13: bound-guided scheduling vs the PR 8 skip-only filter, after the
-// window slides.
-
-struct SchedRow {
-  int d = 0;
-  std::string mode;
-  uint64_t od_evaluations = 0;
-  uint64_t bound_decisions = 0;
-  uint64_t gate_skips = 0;
-  double seconds = 0.0;
-  bool answers_identical = true;  // vs the kOff run on the same slid window
-  double vs_skip_only = 1.0;      // od-eval reduction factor vs skip_only
-  double time_vs_skip_only = 1.0;  // wall-time speedup factor vs skip_only
-};
-
-SchedRow RunSched(const core::HosMiner& miner, int d,
-                  const std::vector<data::PointId>& queries,
-                  const core::QueryOptions& options, const char* name,
-                  AnswerSets* answers) {
-  SchedRow row;
-  row.d = d;
-  row.mode = name;
-  answers->clear();
-  Timer timer;
-  for (data::PointId id : queries) {
-    auto result = miner.Query(id, options);
-    if (!result.ok()) {
-      std::fprintf(stderr, "query failed: %s\n",
-                   result.status().ToString().c_str());
-      std::abort();
-    }
-    row.od_evaluations += result->outcome.counters.od_evaluations;
-    row.bound_decisions += result->outcome.counters.bound_decisions;
-    row.gate_skips += result->outcome.counters.gate_skips;
-    std::vector<uint64_t> masks;
-    for (const Subspace& s : result->outlying_subspaces()) {
-      masks.push_back(s.mask());
-    }
-    answers->push_back(std::move(masks));
-  }
-  row.seconds = timer.ElapsedSeconds();
-  return row;
-}
-
-/// Builds the miner, slides its window (append a fresh quarter, delete an
-/// eighth of the old rows, evict a handful of the oldest), and returns it.
-/// Deterministic in (d, incremental): both arms see the identical dataset
-/// history, so their answers must match bitwise.
-Result<core::HosMiner> MakeSlidMiner(
-    size_t n, int d, bool incremental,
-    const std::vector<data::PointId>& protected_ids) {
-  auto workload = bench::MakeWorkload(n, d, /*seed=*/20 + d);
-  core::HosMinerConfig config;
-  config.seed = 20;
-  config.index = core::IndexKind::kVaFile;
-  // E13 deliberately measures the filter's hardest regime: a coarse 4-bit
-  // summary (memory-constrained deployments) and a low threshold
-  // percentile that parks the background queries' subspace ODs near the
-  // threshold. Bounds then straddle, and the refined tier burns O(n * d)
-  // per consult while deciding almost nothing — exactly the case the
-  // learned gate exists for. E12 above keeps the 6-bit sweet spot.
-  config.va_file.bits_per_dim = 4;
-  config.incremental_filter_tallies = incremental;
-  config.threshold_percentile = 0.60;
-  auto miner = core::HosMiner::Build(std::move(workload.dataset), config);
-  if (!miner.ok()) return miner;
-
-  // Append: same-distribution rows (a different generator seed), raw
-  // coordinates — the miner normalizes with the fitted parameters.
-  auto delta = bench::MakeWorkload(n, d, /*seed=*/77 + d);
-  std::vector<std::vector<double>> raw_rows;
-  for (size_t i = 0; i < n / 4; ++i) {
-    const auto row = delta.dataset.Row(static_cast<data::PointId>(i));
-    raw_rows.emplace_back(row.begin(), row.end());
-  }
-  if (auto appended = miner->Append(raw_rows); !appended.ok()) {
-    std::fprintf(stderr, "append failed: %s\n",
-                 appended.status().ToString().c_str());
-    std::abort();
-  }
-
-  // Delete an eighth of the original window, skipping every query id.
-  std::vector<data::PointId> doomed;
-  for (data::PointId id = 60; doomed.size() < n / 8 && id < n; ++id) {
-    if (std::find(protected_ids.begin(), protected_ids.end(), id) ==
-        protected_ids.end()) {
-      doomed.push_back(id);
-    }
-  }
-  if (auto deleted = miner->Delete(doomed); !deleted.ok()) {
-    std::fprintf(stderr, "delete failed: %s\n",
-                 deleted.status().ToString().c_str());
-    std::abort();
-  }
-  return miner;
-}
-
-void RunE13(std::vector<SchedRow>* all_rows) {
-  bench::Banner("E13",
-                "bound-guided scheduling on a slid window vs skip-only");
-  eval::Table table({"d", "mode", "od evals", "bound decided", "gate skips",
-                     "evals vs skip-only", "time vs skip-only", "time (ms)",
-                     "answers identical"});
-
-  for (int d : bench::SmokeSweep<int>({6, 8})) {
-    // Larger than E12: the futile-consult cost the gate saves is O(n * d)
-    // per mask, so the steady-state contrast needs room to dominate noise.
-    const size_t n = bench::SmokeSize(4000, 300);
-    // Band queries, fixed before the miners exist so the delete phase can
-    // protect them: a stride of background rows, whose subspace ODs sit
-    // near the (deliberately low) threshold — the straddling regime.
-    std::vector<data::PointId> queries;
-    for (data::PointId id = 0; id < 192; id += 2) queries.push_back(id);
-
-    // PR 8 arm: rebuild-only tallies — the summary goes stale as the window
-    // slides. Scheduling arm: incrementally-maintained tallies.
-    auto skip_miner = MakeSlidMiner(n, d, /*incremental=*/false, queries);
-    auto sched_miner = MakeSlidMiner(n, d, /*incremental=*/true, queries);
-    if (!skip_miner.ok() || !sched_miner.ok()) {
-      std::fprintf(stderr, "miner build failed\n");
-      return;
-    }
-
-    // Each timed arm takes the best of kReps passes — the standard
-    // min-of-reps noise filter. Counters are identical across reps for the
-    // stateless arms; the gated arm's come from the final (steadiest) rep.
-    const int kReps = bench::SmokeMode() ? 1 : 3;
-    AnswerSets off_answers, mode_answers, warm_answers;
-
-    auto timed = [&](const core::HosMiner& miner,
-                     const core::QueryOptions& options, const char* name,
-                     AnswerSets* answers) {
-      SchedRow best;
-      double min_seconds = 0.0;
-      for (int rep = 0; rep < kReps; ++rep) {
-        SchedRow r = RunSched(miner, d, queries, options, name, answers);
-        min_seconds = rep == 0 ? r.seconds : std::min(min_seconds, r.seconds);
-        best = r;
-      }
-      best.seconds = min_seconds;
-      return best;
-    };
-
-    core::QueryOptions off;
-    all_rows->push_back(timed(*sched_miner, off, "off", &off_answers));
-
-    core::QueryOptions skip_only;
-    skip_only.filter_mode = filter::FilterMode::kConservative;
-    SchedRow skip_row =
-        timed(*skip_miner, skip_only, "skip_only", &mode_answers);
-    skip_row.answers_identical = mode_answers == off_answers;
-    all_rows->push_back(skip_row);
-
-    core::QueryOptions ordered = skip_only;
-    ordered.frontier_ordering = search::FrontierOrdering::kBoundMargin;
-    core::QueryOptions ordered_gated = ordered;
-    ordered_gated.filter_gate = true;
-    for (auto [options, name] : {std::pair{ordered, "ordered"},
-                                 std::pair{ordered_gated, "ordered_gated"}}) {
-      // Untimed warmup passes: let the learned gate observe each level's
-      // refined decision rate past its per-level warmup window, so the
-      // timed passes measure the steady state every long-lived serving
-      // process reaches. The non-gated arm is stateless, so its warmup
-      // is a no-op repeat.
-      RunSched(*sched_miner, d, queries, options, name, &warm_answers);
-      RunSched(*sched_miner, d, queries, options, name, &warm_answers);
-      SchedRow r = timed(*sched_miner, options, name, &mode_answers);
-      r.answers_identical = mode_answers == off_answers;
-      r.vs_skip_only =
-          static_cast<double>(skip_row.od_evaluations) /
-          static_cast<double>(std::max<uint64_t>(r.od_evaluations, 1));
-      r.time_vs_skip_only = skip_row.seconds / std::max(r.seconds, 1e-12);
-      all_rows->push_back(r);
-    }
-
-    for (const SchedRow& r : *all_rows) {
-      if (r.d != d) continue;
-      table.AddRow({std::to_string(d), r.mode,
-                    std::to_string(r.od_evaluations),
-                    std::to_string(r.bound_decisions),
-                    std::to_string(r.gate_skips),
-                    r.mode == "off" ? "-"
-                                    : eval::FormatDouble(r.vs_skip_only, 2) +
-                                          "x",
-                    r.mode == "off" || r.mode == "skip_only"
-                        ? "-"
-                        : eval::FormatDouble(r.time_vs_skip_only, 2) + "x",
-                    eval::FormatDouble(r.seconds * 1e3, 1),
-                    r.answers_identical ? "yes" : "no"});
-    }
-  }
-  table.Print();
-  std::printf(
-      "\nAll E13 rows are conservative: answers must stay identical to the\n"
-      "filter-off run on the same slid window. skip_only is PR 8's filter\n"
-      "lifecycle (tallies only loosen until a rebuild); ordered adds the\n"
-      "incremental tallies plus bound-margin frontier ordering; the gated\n"
-      "row also lets the learned per-level gate skip dead refined passes.\n");
-  double worst_speedup = 0.0;
-  bool worst_set = false;
-  bool all_identical = true;
-  for (const SchedRow& r : *all_rows) {
-    all_identical = all_identical && r.answers_identical;
-    if (r.mode != "ordered_gated") continue;
-    if (!worst_set || r.time_vs_skip_only < worst_speedup) {
-      worst_speedup = r.time_vs_skip_only;
-      worst_set = true;
-    }
-  }
-  if (worst_set) {
-    std::printf(
-        "acceptance: ordered_gated vs skip_only wall time >= %.2fx at every "
-        "d (bar 1.3x), answers identical: %s\n",
-        worst_speedup, all_identical ? "yes" : "NO");
-  }
 }
 
 void Run(const std::string& json_path) {
   bench::Banner("E12", "density-bound pre-filter: kNN calls avoided");
-  eval::Table table({"d", "mode", "od evals", "bound decided", "risky",
+  eval::Table table({"d", "mode", "od evals", "bound decided",
                      "knn reduction", "time (ms)", "answers identical"});
   std::vector<ModeRow> rows;
 
@@ -344,16 +110,13 @@ void Run(const std::string& json_path) {
                           &off_answers);
     rows.push_back(off);
 
-    for (auto [mode, name] :
-         {std::pair{filter::FilterMode::kConservative, "conservative"},
-          std::pair{filter::FilterMode::kSpeculative, "speculative"}}) {
-      ModeRow r = RunMode(*miner, d, queries, mode, name, &mode_answers);
-      r.answers_identical = mode_answers == off_answers;
-      rows.push_back(r);
-    }
+    ModeRow cons = RunMode(*miner, d, queries,
+                           filter::FilterMode::kConservative, "conservative",
+                           &mode_answers);
+    cons.answers_identical = mode_answers == off_answers;
+    rows.push_back(cons);
 
-    for (const ModeRow& r : rows) {
-      if (r.d != d) continue;
+    for (const ModeRow& r : {off, cons}) {
       // A mode that avoided every exact call divides by 1: the printed
       // factor then reads "at least off_evals x".
       const double reduction =
@@ -362,7 +125,6 @@ void Run(const std::string& json_path) {
       table.AddRow({std::to_string(d), r.mode,
                     std::to_string(r.od_evaluations),
                     std::to_string(r.bound_decisions),
-                    std::to_string(r.risky_decisions),
                     r.mode == "off" ? "1.0x"
                                     : eval::FormatDouble(reduction, 2) + "x",
                     eval::FormatDouble(r.seconds * 1e3, 1),
@@ -372,12 +134,7 @@ void Run(const std::string& json_path) {
   table.Print();
   std::printf(
       "\nConservative mode must keep answers identical (the exactness\n"
-      "contract); its reduction column is pure saved work. Speculative mode\n"
-      "may flip near-threshold verdicts and reports the bound gap when it\n"
-      "does.\n");
-
-  std::vector<SchedRow> sched_rows;
-  RunE13(&sched_rows);
+      "contract); its reduction column is pure saved work.\n");
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
@@ -405,32 +162,13 @@ void Run(const std::string& json_path) {
     std::fprintf(
         f,
         "    {\"d\": %d, \"mode\": \"%s\", \"od_evaluations\": %llu, "
-        "\"bound_decisions\": %llu, \"risky_decisions\": %llu, "
-        "\"max_bound_gap\": %.6g, \"knn_reduction\": %.3f, "
+        "\"bound_decisions\": %llu, \"knn_reduction\": %.3f, "
         "\"seconds\": %.6g, \"answers_identical\": %s}%s\n",
         r.d, r.mode.c_str(),
         static_cast<unsigned long long>(r.od_evaluations),
-        static_cast<unsigned long long>(r.bound_decisions),
-        static_cast<unsigned long long>(r.risky_decisions), r.max_bound_gap,
-        reduction, r.seconds, r.answers_identical ? "true" : "false",
+        static_cast<unsigned long long>(r.bound_decisions), reduction,
+        r.seconds, r.answers_identical ? "true" : "false",
         i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"e13_sliding_window\": [\n");
-  for (size_t i = 0; i < sched_rows.size(); ++i) {
-    const SchedRow& r = sched_rows[i];
-    std::fprintf(
-        f,
-        "    {\"d\": %d, \"mode\": \"%s\", \"od_evaluations\": %llu, "
-        "\"bound_decisions\": %llu, \"gate_skips\": %llu, "
-        "\"evals_vs_skip_only\": %.3f, \"time_vs_skip_only\": %.3f, "
-        "\"seconds\": %.6g, \"answers_identical\": %s}%s\n",
-        r.d, r.mode.c_str(),
-        static_cast<unsigned long long>(r.od_evaluations),
-        static_cast<unsigned long long>(r.bound_decisions),
-        static_cast<unsigned long long>(r.gate_skips), r.vs_skip_only,
-        r.time_vs_skip_only, r.seconds,
-        r.answers_identical ? "true" : "false",
-        i + 1 < sched_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

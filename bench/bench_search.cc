@@ -1,8 +1,7 @@
 // Parallel frontier evaluation benchmark: wall-clock of one d=14 dynamic
-// subspace search at 1/2/4/8 search threads (plus a speculative-prefetch
-// row), all answering identically — the speedup column is pure execution,
-// zero semantics. Repeated and averaged so the JSON is stable enough to
-// track across PRs.
+// subspace search at 1/2/4/8 search threads, all answering identically —
+// the speedup column is pure execution, zero semantics. Repeated and
+// averaged so the JSON is stable enough to track across PRs.
 //
 // Writes machine-readable results to BENCH_search.json (or argv[1]).
 // hardware_concurrency is recorded alongside: on a 1-core container the
@@ -38,15 +37,13 @@ int Repetitions() { return bench::SmokeMode() ? 1 : 3; }
 
 struct Row {
   int threads;        // 1 = sequential (no pool)
-  bool speculate;
   double seconds;     // mean over repetitions
   uint64_t od_evaluations;
-  uint64_t wasted;
   double speedup;     // sequential seconds / this row's seconds
 };
 
 void WriteJson(const std::vector<Row>& rows, double threshold,
-               unsigned cores, const std::string& path) {
+               const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -64,16 +61,13 @@ void WriteJson(const std::vector<Row>& rows, double threshold,
                bench::ProvenanceJsonFields().c_str(),
                bench::SmokeMode() ? "true" : "false", NumPoints(), NumDims(),
                threshold, Repetitions());
-  (void)cores;
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
-                 "    {\"threads\": %d, \"speculate\": %s, "
-                 "\"seconds\": %.4f, \"od_evaluations\": %llu, "
-                 "\"wasted_evaluations\": %llu, \"speedup\": %.2f}%s\n",
-                 r.threads, r.speculate ? "true" : "false", r.seconds,
-                 static_cast<unsigned long long>(r.od_evaluations),
-                 static_cast<unsigned long long>(r.wasted), r.speedup,
+                 "    {\"threads\": %d, \"seconds\": %.4f, "
+                 "\"od_evaluations\": %llu, \"speedup\": %.2f}%s\n",
+                 r.threads, r.seconds,
+                 static_cast<unsigned long long>(r.od_evaluations), r.speedup,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -114,25 +108,17 @@ void Run(const std::string& json_path) {
   std::printf("n=%zu d=%d T=%.3f k=%d, %u hardware threads\n", NumPoints(),
               NumDims(), *threshold, kK, cores);
 
-  struct Config {
-    int threads;
-    bool speculate;
-  };
-  const std::vector<Config> configs = {
-      {1, false}, {2, false}, {4, false}, {8, false}, {4, true}};
-
   std::vector<Row> rows;
   std::vector<Subspace> reference_answer;
-  for (const Config& config : configs) {
+  for (int threads : {1, 2, 4, 8}) {
     std::unique_ptr<service::ThreadPool> pool;
     search::SearchExecution exec;
-    if (config.threads > 1) {
-      pool = std::make_unique<service::ThreadPool>(config.threads);
+    if (threads > 1) {
+      pool = std::make_unique<service::ThreadPool>(threads);
       exec.pool = pool.get();
     }
-    exec.speculate = config.speculate;
 
-    Row row{config.threads, config.speculate, 0.0, 0, 0, 0.0};
+    Row row{threads, 0.0, 0, 0.0};
     for (int rep = 0; rep < Repetitions(); ++rep) {
       // Fresh evaluator per run: no memo carry-over between rows.
       search::OdEvaluator od(engine, ds.Row(query), kK, query);
@@ -145,12 +131,10 @@ void Run(const std::string& json_path) {
         return;
       }
       row.od_evaluations = outcome->counters.od_evaluations;
-      row.wasted = outcome->counters.wasted_evaluations;
-      if (reference_answer.empty() && config.threads == 1) {
+      if (reference_answer.empty() && threads == 1) {
         reference_answer = outcome->minimal_outlying_subspaces;
       } else if (outcome->minimal_outlying_subspaces != reference_answer) {
-        std::fprintf(stderr, "ANSWER MISMATCH at %d threads\n",
-                     config.threads);
+        std::fprintf(stderr, "ANSWER MISMATCH at %d threads\n", threads);
         return;
       }
     }
@@ -159,18 +143,16 @@ void Run(const std::string& json_path) {
   }
   for (Row& row : rows) row.speedup = rows[0].seconds / row.seconds;
 
-  eval::Table table({"threads", "speculate", "mean s", "od evals", "wasted",
-                     "speedup"});
+  eval::Table table({"threads", "mean s", "od evals", "speedup"});
   for (const Row& r : rows) {
-    table.AddRow({std::to_string(r.threads), r.speculate ? "on" : "off",
-                  eval::FormatDouble(r.seconds, 4),
-                  std::to_string(r.od_evaluations), std::to_string(r.wasted),
+    table.AddRow({std::to_string(r.threads), eval::FormatDouble(r.seconds, 4),
+                  std::to_string(r.od_evaluations),
                   eval::FormatDouble(r.speedup, 2)});
   }
   table.Print();
   std::printf("\nanswer sets identical across all configurations (checked)\n");
 
-  WriteJson(rows, *threshold, cores, json_path);
+  WriteJson(rows, *threshold, json_path);
 }
 
 }  // namespace

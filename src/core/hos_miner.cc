@@ -33,6 +33,20 @@ Status CheckFinite(const std::vector<double>& values, const std::string& what) {
   return Status::OK();
 }
 
+/// FailedPrecondition when fewer than k live rows besides the query point
+/// remain (deletes and evictions can shrink a window that far): OD sums the
+/// distances to k neighbours, so there is no OD to report. `excludes_row`:
+/// the query point is itself a live row of `dataset`.
+Status CheckEnoughNeighbours(const data::Dataset& dataset, int k,
+                             bool excludes_row) {
+  const size_t candidates = dataset.live_size() - (excludes_row ? 1 : 0);
+  if (candidates >= static_cast<size_t>(k)) return Status::OK();
+  return Status::FailedPrecondition(
+      "only " + std::to_string(candidates) +
+      " live rows besides the query point remain, fewer than the k=" +
+      std::to_string(k) + " neighbours an OD needs");
+}
+
 }  // namespace
 
 HosMiner::HosMiner(HosMinerConfig config,
@@ -40,8 +54,7 @@ HosMiner::HosMiner(HosMinerConfig config,
                    data::Normalizer normalizer)
     : config_(std::move(config)),
       dataset_(std::move(dataset)),
-      normalizer_(std::move(normalizer)),
-      filter_gate_(std::make_unique<filter::FilterGate>()) {}
+      normalizer_(std::move(normalizer)) {}
 
 Result<HosMiner> HosMiner::Build(data::Dataset dataset,
                                  HosMinerConfig config) {
@@ -245,6 +258,8 @@ std::vector<Result<QueryResult>> HosMiner::QueryBatchFused(
   std::vector<std::optional<Result<QueryResult>>> slots(ids.size());
   std::vector<size_t> valid;
   valid.reserve(ids.size());
+  const Status enough =
+      CheckEnoughNeighbours(*dataset_, config_.k, /*excludes_row=*/true);
   for (size_t i = 0; i < ids.size(); ++i) {
     // Exactly Query's validation, reported per slot so one dead id cannot
     // fail its batch-mates.
@@ -255,6 +270,8 @@ std::vector<Result<QueryResult>> HosMiner::QueryBatchFused(
     } else if (!dataset_->IsLive(ids[i])) {
       slots[i] = Status::NotFound("point id " + std::to_string(ids[i]) +
                                   " was deleted/evicted from the window");
+    } else if (!enough.ok()) {
+      slots[i] = enough;
     } else {
       valid.push_back(i);
     }
@@ -280,10 +297,6 @@ std::vector<Result<QueryResult>> HosMiner::QueryBatchFused(
     exec.max_od_evaluations = options.max_od_evaluations;
     exec.filter = density_filter_.get();
     exec.filter_mode = options.filter_mode;
-    exec.filter_speculative_slack = options.filter_speculative_slack;
-    exec.frontier_ordering = options.frontier_ordering;
-    exec.filter_gate = options.filter_gate ? filter_gate_.get() : nullptr;
-    exec.margin_histogram = options.margin_histogram;
     std::unique_ptr<obs::QueryTracer> local_tracer;
     obs::QueryTracer* tracer = options.tracer;
     if (tracer == nullptr && options.collect_trace) {
@@ -332,6 +345,8 @@ Result<QueryResult> HosMiner::RunSearch(
     std::span<const double> point, std::optional<data::PointId> exclude,
     const QueryOptions& options,
     std::optional<double> full_space_seed) const {
+  HOS_RETURN_IF_ERROR(
+      CheckEnoughNeighbours(*dataset_, config_.k, exclude.has_value()));
   search::OdEvaluator od(*engine_, point, config_.k, exclude,
                          options.od_store);
   if (full_space_seed.has_value()) {
@@ -349,10 +364,6 @@ Result<QueryResult> HosMiner::RunSearch(
   exec.max_od_evaluations = options.max_od_evaluations;
   exec.filter = density_filter_.get();
   exec.filter_mode = options.filter_mode;
-  exec.filter_speculative_slack = options.filter_speculative_slack;
-  exec.frontier_ordering = options.frontier_ordering;
-  exec.filter_gate = options.filter_gate ? filter_gate_.get() : nullptr;
-  exec.margin_histogram = options.margin_histogram;
   // Tracing: record into the caller's tracer when given; otherwise, when
   // collect_trace asked for one, own a local tracer and hand the finished
   // trace back on the result. Spans observe timing only — the search takes
@@ -424,7 +435,7 @@ uint64_t HosMiner::CommitAppend(
   learning_stale_ = true;
   // Keep the filter's tallies synced so its coarse tier survives the
   // append (in-grid rows are counted; out-of-grid rows fold in exactly).
-  if (config_.incremental_filter_tallies && density_filter_ != nullptr) {
+  if (density_filter_ != nullptr) {
     density_filter_->AbsorbAppends();
   }
   return dataset_->version();
@@ -436,7 +447,7 @@ Result<uint64_t> HosMiner::Delete(std::span<const data::PointId> ids) {
     learning_stale_ = true;
     // Sparse tally retirement: the dead rows' histogram counts go with
     // them, so the filter's bounds tighten instead of only loosening.
-    if (config_.incremental_filter_tallies && density_filter_ != nullptr) {
+    if (density_filter_ != nullptr) {
       density_filter_->AbsorbDeletes(ids);
     }
   }
@@ -449,7 +460,7 @@ size_t HosMiner::EvictBefore(uint64_t version) {
     learning_stale_ = true;
     // Eviction reports only a count, not ids: catch the tallies up with a
     // scan over counted-but-dead rows.
-    if (config_.incremental_filter_tallies && density_filter_ != nullptr) {
+    if (density_filter_ != nullptr) {
       density_filter_->ResyncTombstones();
     }
   }
@@ -460,7 +471,7 @@ size_t HosMiner::EvictOldest(size_t n) {
   const size_t evicted = dataset_->EvictOldest(n);
   if (evicted > 0) {
     learning_stale_ = true;
-    if (config_.incremental_filter_tallies && density_filter_ != nullptr) {
+    if (density_filter_ != nullptr) {
       density_filter_->ResyncTombstones();
     }
   }
@@ -536,10 +547,8 @@ void HosMiner::CommitRebuild(RebuildArtifacts artifacts) {
   // Rows appended or tombstoned between the prepare and this commit are
   // not in the freshly built summary; fold them in now (the caller holds
   // the same exclusive section every other mutation runs under).
-  if (config_.incremental_filter_tallies) {
-    density_filter_->AbsorbAppends();
-    density_filter_->ResyncTombstones();
-  }
+  density_filter_->AbsorbAppends();
+  density_filter_->ResyncTombstones();
   // Rows appended after PrepareRebuild are not in the artifacts; they stay
   // in the delta, so the base seal stops at what the rebuild covered. The
   // same goes for rows tombstoned after the prepare: they stay unsealed

@@ -23,7 +23,6 @@
 #include "src/data/dataset.h"
 #include "src/data/normalizer.h"
 #include "src/filter/density_filter.h"
-#include "src/filter/filter_gate.h"
 #include "src/index/va_file.h"
 #include "src/index/xtree.h"
 #include "src/kernels/dataset_view.h"
@@ -67,47 +66,16 @@ struct HosMinerConfig {
   int sample_size = 20;
   /// Seed for sampling and threshold estimation.
   uint64_t seed = 42;
-  /// Keep the density filter's tallies synced through the streaming
-  /// mutators (DensitySummary::ApplyAppend / ApplyDelete /
-  /// ResyncTombstones on every commit), so the coarse bound tier stays
-  /// alive — and both tiers *tighten* — as the window slides, instead of
-  /// degrading until the next rebuild. Off emulates the original
-  /// rebuild-only filter lifecycle (the bench A/B baseline). Answers are
-  /// identical either way; only bound tightness (and so which tier decides
-  /// what) changes.
-  bool incremental_filter_tallies = true;
 };
 
-/// Per-query knobs. All except `filter_mode` never change answers, only how
-/// they are computed; filter_mode == kSpeculative is the one opt-in that may
-/// trade accuracy for speed (and reports when it did — see
-/// SearchCounters::bound_gap).
+/// Per-query knobs. None of them changes an answer, only how it is
+/// computed.
 struct QueryOptions {
   /// Density-bound OD pre-filter participation (see
   /// filter::DensityBoundFilter). kOff never consults the filter;
   /// kConservative takes only provably-safe shortcuts, keeping answers
-  /// bitwise identical to kOff; kSpeculative may additionally decide
-  /// near-threshold subspaces by bound midpoint, reporting every such
-  /// decision in the result's counters (risky_decisions / bound_gap —
-  /// bound_gap == 0 certifies the answer matched kOff).
+  /// bitwise identical to kOff.
   filter::FilterMode filter_mode = filter::FilterMode::kOff;
-  /// kSpeculative only: maximum bound-interval width, as a fraction of the
-  /// threshold, a midpoint decision may act on.
-  double filter_speculative_slack = 0.25;
-  /// Frontier dispatch order (see search::FrontierOrdering): kBoundMargin
-  /// sorts each level's exact-path masks widest-bound-margin first.
-  /// Execution order only — answers are identical at either setting.
-  search::FrontierOrdering frontier_ordering =
-      search::FrontierOrdering::kNone;
-  /// Consult the miner's learned per-level gate (filter::FilterGate) to
-  /// skip the filter's refined tier at levels where it has historically
-  /// decided ~nothing. Conservative answers are unchanged; skipped passes
-  /// are reported in SearchCounters::gate_skips. No-op when filter_mode is
-  /// kOff. Queries with this set also train the gate.
-  bool filter_gate = false;
-  /// Sink for the signed bound margin of every filter consult; null ⇒ off
-  /// (the serving layer points this at its hos_filter_margin histogram).
-  obs::Histogram* margin_histogram = nullptr;
   /// Optional cross-query OD memo (the service layer's shared cache).
   /// Memoised values are bit-identical to fresh evaluations, so results
   /// with and without a store are the same.
@@ -185,7 +153,9 @@ class HosMiner {
 
   /// Finds the outlying subspaces of dataset row `id` (the row itself is
   /// excluded from its neighbour sets). A tombstoned (deleted/evicted) id
-  /// returns NotFound; an id that never existed returns OutOfRange.
+  /// returns NotFound; an id that never existed returns OutOfRange. When
+  /// deletes or evictions have left fewer than k live rows besides `id`,
+  /// OD is undefined and the query returns FailedPrecondition.
   ///
   /// Thread safety: as long as nothing mutates the miner, Query,
   /// QueryPoint, QueryAll, ScreenOutliers and TopOutliers may be called
@@ -202,7 +172,8 @@ class HosMiner {
 
   /// Finds the outlying subspaces of an external point given in *raw*
   /// (pre-normalisation) coordinates. A wrong width or a NaN/infinite
-  /// coordinate is InvalidArgument.
+  /// coordinate is InvalidArgument; fewer than k live rows is
+  /// FailedPrecondition.
   Result<QueryResult> QueryPoint(std::vector<double> raw_point) const;
 
   /// Batch form of Query.
@@ -253,14 +224,15 @@ class HosMiner {
   std::vector<double> ScreenBatch(std::span<const data::PointId> ids) const;
 
   /// Fused batch form of Query(id, options): each id is validated exactly
-  /// like Query (OutOfRange / NotFound reported in that id's slot), then
-  /// the valid points' lattice searches are co-scheduled through
-  /// search::BatchFrontierRunner so OD evaluations coinciding on a
-  /// subspace share one fused kNN pass. Per-point answer content is
-  /// bitwise identical to Query(id, options) — see batch_frontier.h for
-  /// the argument and the monitoring-only counter exceptions. With
-  /// collect_trace set (and no external tracer) the whole block records
-  /// one shared span tree, attached to every successful result.
+  /// like Query (OutOfRange / NotFound / FailedPrecondition reported in
+  /// that id's slot), then the valid points' lattice searches are
+  /// co-scheduled through search::BatchFrontierRunner so OD evaluations
+  /// coinciding on a subspace share one fused kNN pass. Per-point answer
+  /// content is bitwise identical to Query(id, options) — see
+  /// batch_frontier.h for the argument and the monitoring-only counter
+  /// exceptions. With collect_trace set (and no external tracer) the whole
+  /// block records one shared span tree, attached to every successful
+  /// result.
   std::vector<Result<QueryResult>> QueryBatchFused(
       std::span<const data::PointId> ids, const QueryOptions& options) const;
 
@@ -435,11 +407,6 @@ class HosMiner {
   const filter::DensityBoundFilter* density_filter() const {
     return density_filter_.get();
   }
-  /// The learned per-level refined-tier gate (always allocated; it only
-  /// acts — and learns — when a query opts in via
-  /// QueryOptions::filter_gate). Owned here, not by the rebuild artifacts,
-  /// so learned rates survive index rebuilds.
-  filter::FilterGate* filter_gate() const { return filter_gate_.get(); }
 
  private:
   HosMiner(HosMinerConfig config, std::unique_ptr<data::Dataset> dataset,
@@ -467,7 +434,6 @@ class HosMiner {
   std::unique_ptr<index::VaFile> va_file_;   // when index == kVaFile
   std::unique_ptr<knn::KnnEngine> engine_;
   std::unique_ptr<filter::DensityBoundFilter> density_filter_;
-  std::unique_ptr<filter::FilterGate> filter_gate_;
   double threshold_ = 0.0;
   learning::LearningReport learning_report_;
   std::unique_ptr<search::DynamicSubspaceSearch> query_search_;

@@ -51,12 +51,7 @@ std::string QueryResultToJson(const QueryResult& result) {
   out << "\"distance_computations\":"
       << outcome.counters.distance_computations << ",";
   out << "\"steps\":" << outcome.counters.steps << ",";
-  out << "\"wasted_evaluations\":" << outcome.counters.wasted_evaluations
-      << ",";
   out << "\"bound_decisions\":" << outcome.counters.bound_decisions << ",";
-  out << "\"risky_decisions\":" << outcome.counters.risky_decisions << ",";
-  out << "\"bound_gap\":" << outcome.counters.bound_gap << ",";
-  out << "\"gate_skips\":" << outcome.counters.gate_skips << ",";
   out << "\"elapsed_seconds\":" << outcome.counters.elapsed_seconds;
   out << "}";
   // Only traced results carry the key, so untraced output (including the

@@ -238,52 +238,20 @@ OdBounds DensityBoundFilter::Bounds(std::span<const double> point,
 
 FilterDecision DensityBoundFilter::Decide(
     std::span<const double> point, uint64_t mask, int k,
-    std::optional<data::PointId> exclude, double threshold, FilterMode mode,
-    double speculative_slack, bool allow_refined) const {
-  FilterDecision decision;
-  if (mode == FilterMode::kOff) return decision;
-
+    std::optional<data::PointId> exclude, double threshold) const {
   // Tier 1: histogram-only bounds decide the clear-cut subspaces in
-  // O(|s| * cells) without touching per-row data.
-  if (const std::optional<OdBounds> coarse =
-          CoarseBounds(point, mask, k, exclude)) {
-    decision.bounds = *coarse;
-    decision.tier = FilterDecision::Tier::kCoarse;
-    if (coarse->lower >= threshold) {
-      decision.verdict = FilterDecision::Verdict::kOutlier;
-      return decision;
-    }
-    if (coarse->upper < threshold) {
-      decision.verdict = FilterDecision::Verdict::kInlier;
-      return decision;
-    }
+  // O(|s| * cells) without touching per-row data. Tier 2, only when tier 1
+  // is inconclusive: per-candidate bounds.
+  std::optional<OdBounds> bounds = CoarseBounds(point, mask, k, exclude);
+  if (!bounds.has_value() ||
+      (bounds->lower < threshold && bounds->upper >= threshold)) {
+    bounds = RefinedBounds(point, mask, k, exclude);
   }
-
-  // The learned per-level gate: when the refined tier has historically
-  // decided ~nothing at this level, the caller skips it and this mask goes
-  // straight to the exact path — an undecided verdict either way, so
-  // conservative answers are unchanged. Speculation is also off on a
-  // coarse-only interval: midpoint calls were tuned for refined tightness.
-  if (!allow_refined) return decision;
-
-  // Tier 2: per-candidate bounds.
-  decision.bounds = RefinedBounds(point, mask, k, exclude);
-  decision.tier = FilterDecision::Tier::kRefined;
-  if (decision.bounds.lower >= threshold) {
+  FilterDecision decision;
+  if (bounds->lower >= threshold) {
     decision.verdict = FilterDecision::Verdict::kOutlier;
-    return decision;
-  }
-  if (decision.bounds.upper < threshold) {
+  } else if (bounds->upper < threshold) {
     decision.verdict = FilterDecision::Verdict::kInlier;
-    return decision;
-  }
-
-  if (mode == FilterMode::kSpeculative &&
-      decision.gap() <= speculative_slack * threshold) {
-    const double mid = 0.5 * (decision.bounds.lower + decision.bounds.upper);
-    decision.verdict = mid >= threshold ? FilterDecision::Verdict::kOutlier
-                                        : FilterDecision::Verdict::kInlier;
-    decision.risky = true;
   }
   return decision;
 }

@@ -30,11 +30,11 @@
 //    coarse pass decides the clear-cut subspaces — typically the strongly
 //    outlying ones, where p's cells are isolated — in near-constant time.
 //
-// Streaming deltas and tombstones. When the miner keeps the summary's
-// incremental tallies applied (DensitySummary::ApplyAppend / ApplyDelete /
-// ResyncTombstones — the default commit-path hooks), the summary stays
-// synced() across the whole streaming lifecycle: appended in-grid rows are
-// counted, tombstoned rows' counts are retired, so both tiers keep their
+// Streaming deltas and tombstones. HosMiner applies the summary's
+// incremental tallies on every commit (DensitySummary::ApplyAppend /
+// ApplyDelete / ResyncTombstones, via the Absorb* hooks), so the summary
+// stays synced() across the whole streaming lifecycle: appended in-grid rows
+// are counted, tombstoned rows' counts are retired, so both tiers keep their
 // full power — bounds *tighten* as the window slides. Appended rows that
 // fall outside the frozen grid stay uncounted: the refined pass folds them
 // by exact distance, and the coarse tier drops its lower bound to 0 (an
@@ -55,26 +55,19 @@
 //
 // FilterMode is the knob threaded through SearchExecution / QueryOptions /
 // QueryServiceConfig:
-//  * kOff           — filter never consulted; the pre-PR behaviour.
+//  * kOff           — filter never consulted.
 //  * kConservative  — only provably-safe decisions; answers (OD values,
 //                     answer sets, lattice evolution) are bitwise identical
 //                     to kOff, with bound_decisions exact evaluations
 //                     avoided. Held by tests/filter/.
-//  * kSpeculative   — near-threshold subspaces whose bound interval is
-//                     tight (width <= speculative_slack * T) are decided by
-//                     the interval midpoint. May mis-decide; every such
-//                     risky decision is counted and the widest risky
-//                     interval is reported as SearchCounters::bound_gap, so
-//                     bound_gap == 0 guarantees the answer is bitwise
-//                     identical to kOff.
 
 #ifndef HOS_FILTER_DENSITY_FILTER_H_
 #define HOS_FILTER_DENSITY_FILTER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "src/data/dataset.h"
 #include "src/filter/density_summary.h"
@@ -86,7 +79,6 @@ namespace hos::filter {
 enum class FilterMode : uint8_t {
   kOff,           ///< never consulted
   kConservative,  ///< provably-safe decisions only (answers unchanged)
-  kSpeculative,   ///< tight near-threshold intervals decided by midpoint
 };
 
 /// Interval proven to contain OD(p, s).
@@ -99,39 +91,12 @@ struct OdBounds {
 struct FilterDecision {
   enum class Verdict : uint8_t {
     kUndecided,  ///< bounds straddle T — take the exact kNN path
-    kOutlier,    ///< OD >= T proven (or speculated)
-    kInlier,     ///< OD < T proven (or speculated)
-  };
-  /// Which bound tier produced `bounds` (and so the verdict, if any).
-  /// Feeds the learned per-level gate: a refined-tier outcome is one
-  /// observation of whether the expensive per-candidate pass was worth
-  /// running at that level.
-  enum class Tier : uint8_t {
-    kNone,     ///< no tier applied (coarse unavailable, refined skipped)
-    kCoarse,   ///< histogram-only bounds
-    kRefined,  ///< per-candidate bounds
+    kOutlier,    ///< OD >= T proven
+    kInlier,     ///< OD < T proven
   };
   Verdict verdict = Verdict::kUndecided;
-  Tier tier = Tier::kNone;
-  /// The (slack-widened) bounds the verdict rests on.
-  OdBounds bounds;
-  /// True when the verdict is a speculative midpoint call, not a proof.
-  bool risky = false;
 
   bool decided() const { return verdict != Verdict::kUndecided; }
-  /// Interval width — the reported gap of a risky decision.
-  double gap() const { return bounds.upper - bounds.lower; }
-
-  /// Signed distance from the threshold to the bound interval: positive
-  /// for decided masks (how far the whole interval clears T — the
-  /// confidence of the shortcut), negative for undecided ones (how deep T
-  /// sits inside the interval). The frontier-ordering priority: widest
-  /// margin first. Meaningless when tier == kNone.
-  double Margin(double threshold) const {
-    if (bounds.lower >= threshold) return bounds.lower - threshold;
-    if (bounds.upper < threshold) return threshold - bounds.upper;
-    return -std::min(threshold - bounds.lower, bounds.upper - threshold);
-  }
 };
 
 /// Bound computer over one dataset + summary. All query-side methods are
@@ -173,16 +138,9 @@ class DensityBoundFilter {
 
   /// The pre-admission verdict for threshold T, trying the coarse tier
   /// first and computing refined bounds only when it is inconclusive.
-  /// `mode` must not be kOff. `speculative_slack` is the maximum interval
-  /// width, as a fraction of T, a speculative midpoint call may act on.
-  /// `allow_refined == false` stops after the coarse tier (the learned
-  /// per-level gate's skip): an undecided result then simply takes the
-  /// exact path, so conservative-mode answers are unchanged — only the
-  /// work distribution shifts.
   FilterDecision Decide(std::span<const double> point, uint64_t mask, int k,
-                        std::optional<data::PointId> exclude, double threshold,
-                        FilterMode mode, double speculative_slack,
-                        bool allow_refined = true) const;
+                        std::optional<data::PointId> exclude,
+                        double threshold) const;
 
   /// Folds rows appended since the summary last applied into its tallies.
   /// Mutator — serialize like a dataset mutation.

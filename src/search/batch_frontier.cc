@@ -12,9 +12,7 @@
 
 #include "src/common/timer.h"
 #include "src/filter/density_filter.h"
-#include "src/filter/filter_gate.h"
 #include "src/lattice/lattice_store.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/search/frontier_support.h"
 
@@ -33,9 +31,6 @@ struct PointRun {
   uint64_t dist_before = 0;
   uint64_t steps = 0;
   uint64_t bound_decisions = 0;
-  uint64_t risky_decisions = 0;
-  double bound_gap = 0.0;
-  uint64_t gate_skips = 0;
   bool done = false;
   // Scratch of the round in flight; wave is cleared on retirement so the
   // merge phase can tell participants from bystanders.
@@ -59,8 +54,7 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
     for (size_t q = 0; q < ods.size(); ++q) out.push_back(bad);
     return out;
   }
-  const bool filter_active =
-      exec.filter != nullptr && exec.filter_mode != filter::FilterMode::kOff;
+  const filter::DensityBoundFilter* filter = internal::ActiveFilter(exec);
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   Timer timer;
@@ -88,25 +82,17 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
                              : std::string());
 
   // Round scratch, reused across rounds. `open` holds one entry per
-  // (point, wave slot) the memo and the density filter left open, with the
-  // filter margin that point saw (the bound-margin dispatch priority);
-  // after phase 1 it is sorted by (mask, point), so the points needing
-  // the same subspace form one contiguous group. Mask order gives the
-  // engine, the tracer and the store a deterministic order (OD values are
+  // (point, wave slot) the memo and the density filter left open; after
+  // phase 1 it is sorted by (mask, point), so the points needing the same
+  // subspace form one contiguous group. Mask order gives the engine, the
+  // tracer and the store a deterministic order (OD values are
   // order-independent regardless).
   struct OpenEval {
     uint64_t mask;
     size_t q;
     size_t slot;
-    double margin;
-  };
-  struct Group {
-    size_t begin;
-    size_t end;
-    double margin;
   };
   std::vector<OpenEval> open;
-  std::vector<Group> groups;
   std::vector<SharedOdStore::OdKey> probe_keys;
   std::vector<size_t> probe_owner;  // index into `open` per probe key
   std::vector<double> probe_values;
@@ -115,9 +101,6 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
   std::vector<knn::BatchPointQuery> queries;
   std::vector<SharedOdStore::OdKey> store_keys;
   std::vector<double> store_values;
-  const bool order_by_margin =
-      exec.frontier_ordering == FrontierOrdering::kBoundMargin &&
-      filter_active;
 
   while (live > 0) {
     open.clear();
@@ -139,16 +122,12 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
       if (m == 0) {
         slots[q] = internal::AssembleOutcome(
             *run.state, threshold, *run.od, run.od_before, run.dist_before,
-            run.steps, /*wasted=*/0, timer, run.bound_decisions,
-            run.risky_decisions, run.bound_gap, run.gate_skips);
+            run.steps, timer, run.bound_decisions);
         run.done = true;
         run.wave.clear();
         --live;
         continue;
       }
-      // Batch mode never speculates, so nothing is ever prepaid: the gate
-      // charges the level's full undecided count, exactly like the
-      // sequential speculation-off walk.
       Status budget = internal::CheckSearchBudget(
           exec, *run.od, run.od_before, m, run.state->UndecidedCount(m));
       if (!budget.ok()) {
@@ -165,31 +144,16 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
         const uint64_t mask = run.wave[i];
         double memoised;
         if (run.od->LookupLocal(mask, &memoised)) {
-          // The sequential path routes memo hits through the evaluator's
-          // kMemo source: same value, no counter movement.
+          // As in the sequential runner: the memoised value, no counter
+          // movement.
           run.values[i] = memoised;
           run.resolved[i] = 1;
           continue;
         }
-        double margin = -std::numeric_limits<double>::infinity();
-        if (filter_active) {
-          // Same gate / tier bookkeeping as the sequential runner (see
-          // subspace_search.cc): skip-probe, record, histogram, tally.
-          const bool allow_refined =
-              exec.filter_gate == nullptr ||
-              !exec.filter_gate->ShouldSkipRefined(m);
-          const filter::FilterDecision fd = exec.filter->Decide(
+        if (filter != nullptr) {
+          const filter::FilterDecision fd = filter->Decide(
               run.od->point(), mask, run.od->k(), run.od->exclude(),
-              threshold, exec.filter_mode, exec.filter_speculative_slack,
-              allow_refined);
-          if (exec.filter_gate != nullptr &&
-              fd.tier == filter::FilterDecision::Tier::kRefined) {
-            exec.filter_gate->RecordRefined(m, fd.decided());
-          }
-          if (exec.margin_histogram != nullptr &&
-              fd.tier != filter::FilterDecision::Tier::kNone) {
-            exec.margin_histogram->Record(fd.Margin(threshold));
-          }
+              threshold);
           if (fd.decided()) {
             run.resolved[i] = 1;
             run.values[i] =
@@ -197,21 +161,10 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
                     ? kInf
                     : -kInf;
             ++run.bound_decisions;
-            if (fd.risky) {
-              ++run.risky_decisions;
-              run.bound_gap = std::max(run.bound_gap, fd.gap());
-            }
             continue;
           }
-          if (!allow_refined &&
-              fd.tier != filter::FilterDecision::Tier::kRefined) {
-            ++run.gate_skips;
-          }
-          if (fd.tier != filter::FilterDecision::Tier::kNone) {
-            margin = fd.Margin(threshold);
-          }
         }
-        open.push_back({mask, q, i, margin});
+        open.push_back({mask, q, i});
       }
     }
 
@@ -254,31 +207,16 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
       }
     }
 
-    // Dispatch order: canonical mask order, or widest-margin-first under
-    // the bound-margin ordering (stable on mask for determinism). Per-mask
-    // work is self-contained, so the order only schedules execution; every
-    // point's merge stays canonical.
-    groups.clear();
-    for (size_t t = 0; t < open.size(); ++t) {
-      if (groups.empty() || open[groups.back().begin].mask != open[t].mask) {
-        groups.push_back({t, t, -kInf});
-      }
-      groups.back().end = t + 1;
-      groups.back().margin = std::max(groups.back().margin, open[t].margin);
-    }
-    if (order_by_margin) {
-      std::stable_sort(groups.begin(), groups.end(),
-                       [](const Group& a, const Group& b) {
-                         return a.margin > b.margin;
-                       });
-    }
     store_keys.clear();
     store_values.clear();
-    for (const Group& group : groups) {
-      const uint64_t mask = open[group.begin].mask;
+    // Per distinct mask (a contiguous run of `open`), one fused kNN pass.
+    for (size_t begin = 0, end; begin < open.size(); begin = end) {
+      const uint64_t mask = open[begin].mask;
+      end = begin + 1;
+      while (end < open.size() && open[end].mask == mask) ++end;
       compute.clear();
       queries.clear();
-      for (size_t t = group.begin; t < group.end; ++t) {
+      for (size_t t = begin; t < end; ++t) {
         const PointRun& run = runs[open[t].q];
         if (run.resolved[open[t].slot]) continue;  // store hit
         const OdEvaluator& od = *run.od;

@@ -34,8 +34,6 @@
 //    store key, so this can change only the store's LRU recency order —
 //    and through it, at capacity, which entries are evicted — never a
 //    value. Every point must use the same store (or none).
-//  * SearchExecution::speculate is ignored: the batch never speculates
-//    (speculation never changes answers, only the work schedule).
 
 #ifndef HOS_SEARCH_BATCH_FRONTIER_H_
 #define HOS_SEARCH_BATCH_FRONTIER_H_

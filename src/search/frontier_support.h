@@ -1,8 +1,8 @@
 // Shared internals of the two frontier drivers: the sequential per-query
 // FrontierRunner (subspace_search.cc) and the fused multi-query
 // BatchFrontierRunner (batch_frontier.cc). One definition of the
-// work-budget gate and the SearchOutcome assembly keeps both drivers'
-// error contracts and counter semantics identical — the batch differential
+// active-filter rule, the work-budget gate and the SearchOutcome assembly
+// keeps both drivers' error contracts and counter semantics identical — the batch differential
 // suite holds budget errors and outcome fields to exact equality across
 // the two, which a copied-and-drifted second implementation could not.
 
@@ -27,11 +27,17 @@ inline uint64_t SaturatingSub(uint64_t a, uint64_t b) {
   return a > b ? a - b : 0;
 }
 
+/// The density filter a runner consults: null when none is attached or the
+/// mode is kOff.
+inline const filter::DensityBoundFilter* ActiveFilter(
+    const SearchExecution& exec) {
+  return exec.filter_mode == filter::FilterMode::kOff ? nullptr : exec.filter;
+}
+
 /// Work-budget gate (SearchExecution::max_od_evaluations), consulted before
 /// a level batch is materialised: spending so far plus the level's
-/// undecided count (minus any masks speculation already paid for) must fit
-/// the budget, so a runaway query fails fast instead of allocating (or
-/// evaluating) an astronomically large wave.
+/// undecided count must fit the budget, so a runaway query fails fast
+/// instead of allocating (or evaluating) an astronomically large wave.
 inline Status CheckSearchBudget(const SearchExecution& exec,
                                 const OdEvaluator& od,
                                 uint64_t evals_at_start, int level,
@@ -50,15 +56,11 @@ inline Status CheckSearchBudget(const SearchExecution& exec,
       "strategy, or reduce dimensionality)");
 }
 
-/// Assembles the SearchOutcome once the lattice is fully decided. `wasted`
-/// is subtracted from the evaluator's delta so od_evaluations reports the
-/// order-independent count every execution mode shares.
+/// Assembles the SearchOutcome once the lattice is fully decided.
 inline SearchOutcome AssembleOutcome(
     const lattice::LatticeStore& state, double threshold,
     const OdEvaluator& od, uint64_t od_evals_before, uint64_t dist_before,
-    uint64_t steps, uint64_t wasted, const Timer& timer,
-    uint64_t bound_decisions = 0, uint64_t risky_decisions = 0,
-    double bound_gap = 0.0, uint64_t gate_skips = 0) {
+    uint64_t steps, const Timer& timer, uint64_t bound_decisions = 0) {
   assert(state.AllDecided());
   const int d = state.num_dims();
   SearchOutcome outcome;
@@ -75,16 +77,11 @@ inline SearchOutcome AssembleOutcome(
     outcome.counters.pruned_upward += state.InferredOutliers(m);
     outcome.counters.pruned_downward += state.InferredNonOutliers(m);
   }
-  outcome.counters.od_evaluations =
-      od.num_evaluations() - od_evals_before - wasted;
-  outcome.counters.wasted_evaluations = wasted;
+  outcome.counters.od_evaluations = od.num_evaluations() - od_evals_before;
   outcome.counters.distance_computations =
       od.engine().distance_computations() - dist_before;
   outcome.counters.steps = steps;
   outcome.counters.bound_decisions = bound_decisions;
-  outcome.counters.risky_decisions = risky_decisions;
-  outcome.counters.bound_gap = bound_gap;
-  outcome.counters.gate_skips = gate_skips;
   outcome.counters.elapsed_seconds = timer.ElapsedSeconds();
   return outcome;
 }

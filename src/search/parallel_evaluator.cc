@@ -36,7 +36,8 @@ ParallelEvaluator::ParallelEvaluator(OdEvaluator* root,
   }
 }
 
-double ParallelEvaluator::ComputeOne(uint64_t mask, Source* source,
+double ParallelEvaluator::ComputeOne(uint64_t mask,
+                                     OdEvaluator::ValueSource* source,
                                      int trace_parent) const {
   double od;
   SharedOdStore* store = root_->shared_store();
@@ -46,7 +47,7 @@ double ParallelEvaluator::ComputeOne(uint64_t mask, Source* source,
       obs::ScopedSpan span(tracer_, "od_store_hit", trace_parent,
                            MaskDetail(mask));
     }
-    *source = Source::kSharedStore;
+    *source = OdEvaluator::ValueSource::kSharedStoreHit;
     return od;
   }
   obs::ScopedSpan span(tracer_, "knn", trace_parent,
@@ -58,30 +59,30 @@ double ParallelEvaluator::ComputeOne(uint64_t mask, Source* source,
   query.exclude = root_->exclude();
   od = knn::OutlyingDegree(root_->engine(), query);
   if (shareable) store->Store(*root_->exclude(), mask, od);
-  *source = Source::kComputed;
+  *source = OdEvaluator::ValueSource::kComputed;
   return od;
 }
 
-ParallelEvaluator::Batch ParallelEvaluator::EvaluateBatch(
+std::vector<double> ParallelEvaluator::EvaluateBatch(
     std::span<const uint64_t> masks, int trace_parent) {
   const size_t n = masks.size();
-  Batch out;
-  out.values.assign(n, 0.0);
-  out.sources.assign(n, Source::kMemo);
+  std::vector<double> values(n, 0.0);
 
   // Pass 1, caller thread: memo lookups. Workers never touch the memo, so
   // during the wave it is read-only frozen state.
   std::vector<size_t> miss;
   miss.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (!root_->LookupLocal(masks[i], &out.values[i])) miss.push_back(i);
+    if (!root_->LookupLocal(masks[i], &values[i])) miss.push_back(i);
   }
-  if (miss.empty()) return out;
+  if (miss.empty()) return values;
 
+  // Where each missed value came from, aligned with `miss`.
+  std::vector<OdEvaluator::ValueSource> sources(miss.size());
   auto eval_range = [&](size_t lo, size_t hi) {
     for (size_t j = lo; j < hi; ++j) {
       const size_t i = miss[j];
-      out.values[i] = ComputeOne(masks[i], &out.sources[i], trace_parent);
+      values[i] = ComputeOne(masks[i], &sources[j], trace_parent);
     }
   };
 
@@ -125,7 +126,8 @@ ParallelEvaluator::Batch ParallelEvaluator::EvaluateBatch(
       throw;
     }
     // wait() everything before get(): get() can rethrow, and unwinding
-    // while other workers still write into `out` would be a use-after-free.
+    // while other workers still write into `values` would be a
+    // use-after-free.
     for (std::future<void>& f : done) f.wait();
     for (std::future<void>& f : done) f.get();
   }
@@ -133,13 +135,10 @@ ParallelEvaluator::Batch ParallelEvaluator::EvaluateBatch(
   // Merge, caller thread, in batch order: deposit every non-memo value so
   // the root's memo and counters end up exactly as a sequential walk over
   // `masks` would have left them.
-  for (size_t i : miss) {
-    root_->Deposit(masks[i], out.values[i],
-                   out.sources[i] == Source::kSharedStore
-                       ? OdEvaluator::ValueSource::kSharedStoreHit
-                       : OdEvaluator::ValueSource::kComputed);
+  for (size_t j = 0; j < miss.size(); ++j) {
+    root_->Deposit(masks[miss[j]], values[miss[j]], sources[j]);
   }
-  return out;
+  return values;
 }
 
 }  // namespace hos::search

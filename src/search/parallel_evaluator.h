@@ -33,28 +33,7 @@ namespace hos::service {
 class ThreadPool;
 }  // namespace hos::service
 
-namespace hos::obs {
-class Histogram;
-}  // namespace hos::obs
-
-namespace hos::filter {
-class FilterGate;
-}  // namespace hos::filter
-
 namespace hos::search {
-
-/// How a frontier runner orders the undecided masks of a level wave.
-enum class FrontierOrdering : uint8_t {
-  /// Canonical mask order — the pre-scheduling behaviour.
-  kNone,
-  /// Exact-path masks sorted by descending bound margin (widest straddle
-  /// first), so the hardest evaluations start earliest in a parallel wave
-  /// and stragglers shrink. Lattice merges stay in canonical mask order,
-  /// so answers are bitwise identical to kNone in conservative mode (held
-  /// by tests/filter/filter_differential_test.cc). No-op when the filter
-  /// is off (no bounds ⇒ no margins).
-  kBoundMargin,
-};
 
 /// How a search strategy executes its frontier batches. The default runs
 /// everything sequentially on the calling thread; attaching a pool turns on
@@ -77,14 +56,6 @@ struct SearchExecution {
   /// depends only on batch size and this value, never on timing.
   int chunk_size = 0;
 
-  /// When true, pruning strategies prefetch the predicted next level's
-  /// undecided subspaces in the same wave as the current level. Answers
-  /// are unchanged (speculative values enter the lattice only if the mask
-  /// is still undecided when its level is chosen); speculative kNN work
-  /// that pruning then discards is reported as
-  /// SearchCounters::wasted_evaluations.
-  bool speculate = false;
-
   /// Work budget: the maximum number of fresh OD evaluations (kNN
   /// searches) one Run may spend; 0 means unlimited. Checked before each
   /// level batch — against the batch's undecided count, so an
@@ -93,8 +64,7 @@ struct SearchExecution {
   /// instead of first materialising the wave, let alone evaluating it.
   /// Only fresh evaluations consume budget (memo and SharedOdStore hits do
   /// not), but the pre-batch check conservatively charges a level's whole
-  /// undecided count; speculative prefetch spends budget like any other
-  /// evaluation and is skipped when it would not fit.
+  /// undecided count.
   uint64_t max_od_evaluations = 0;
 
   /// Which lattice storage backend the search builds its state in. kAuto
@@ -107,34 +77,12 @@ struct SearchExecution {
 
   /// Density-bound pre-filter consulted by the pruning strategies before
   /// dispatching a frontier mask to the exact kNN path; null or kOff ⇒
-  /// every mask takes the exact path (the pre-filter-PR behaviour).
-  /// ExhaustiveSearch ignores the filter — it is the oracle the
-  /// differential suites compare everything against. In kConservative the
-  /// filter only acts on proofs, so answers are bitwise identical to kOff
-  /// (held by tests/filter/filter_differential_test.cc); kSpeculative may
-  /// additionally decide near-threshold masks by bound midpoint, reporting
-  /// each such decision in SearchCounters::{risky_decisions, bound_gap}.
+  /// every mask takes the exact path. ExhaustiveSearch ignores the filter —
+  /// it is the oracle the differential suites compare everything against.
+  /// kConservative acts only on proofs, so answers are bitwise identical to
+  /// kOff (held by tests/filter/filter_differential_test.cc).
   const filter::DensityBoundFilter* filter = nullptr;
   filter::FilterMode filter_mode = filter::FilterMode::kOff;
-  /// kSpeculative only: maximum bound-interval width, as a fraction of the
-  /// threshold, a midpoint decision may act on.
-  double filter_speculative_slack = 0.25;
-
-  /// Priority order for each level's exact-path masks (see FrontierOrdering).
-  FrontierOrdering frontier_ordering = FrontierOrdering::kNone;
-
-  /// Learned per-level gate over the filter's refined tier; null ⇒ every
-  /// filter consult may run both tiers. Owned by the miner (it survives
-  /// index rebuilds so learned rates persist across the stream); skips are
-  /// reported in SearchCounters::gate_skips and never change conservative
-  /// answers (see filter/filter_gate.h).
-  filter::FilterGate* filter_gate = nullptr;
-
-  /// Sink for the signed bound margin of every filter consult (positive =
-  /// decided clearance, negative = straddle depth); null ⇒ off. Feeds the
-  /// service's hos_filter_margin histogram so operators can see how much
-  /// headroom the bounds have before re-tuning grids or thresholds.
-  obs::Histogram* margin_histogram = nullptr;
 
   /// Per-query trace sink; null ⇒ tracing off (the default, and the only
   /// cost disabled tracing pays is this null check). The tracer must
@@ -148,34 +96,22 @@ struct SearchExecution {
 
 class ParallelEvaluator {
  public:
-  /// Where each returned value came from.
-  enum class Source : uint8_t {
-    kMemo,         ///< already in the root evaluator's per-query memo
-    kSharedStore,  ///< answered by the cross-query SharedOdStore
-    kComputed,     ///< fresh kNN evaluation
-  };
-
-  /// Values aligned with the masks passed to EvaluateBatch.
-  struct Batch {
-    std::vector<double> values;
-    std::vector<Source> sources;
-  };
-
   /// `root` must outlive the evaluator and must not be used concurrently
   /// with EvaluateBatch.
   ParallelEvaluator(OdEvaluator* root, const SearchExecution& exec);
 
-  /// Evaluates OD(p, s) for every mask and deposits all results into the
-  /// root evaluator's memo (in batch order). Blocks until the whole wave
-  /// is done. Duplicate masks are tolerated — counters count each distinct
-  /// mask once (Deposit deduplicates) — but two copies both missing the
-  /// memo are each computed, so callers should pass distinct masks (the
-  /// search strategies do: a wave mixes levels, and masks within a level
-  /// are unique).
+  /// Evaluates OD(p, s) for every mask, returning the values aligned with
+  /// `masks`, and deposits all results into the root evaluator's memo (in
+  /// batch order). Blocks until the whole wave is done. Duplicate masks
+  /// are tolerated — counters count each distinct mask once (Deposit
+  /// deduplicates) — but two copies both missing the memo are each
+  /// computed, so callers should pass distinct masks (the search strategies
+  /// do: a wave is one lattice level, whose masks are unique).
   ///
   /// `trace_parent` is the span id this wave's kNN / OD-store spans attach
   /// under when tracing is on (typically the strategy's level span).
-  Batch EvaluateBatch(std::span<const uint64_t> masks, int trace_parent = -1);
+  std::vector<double> EvaluateBatch(std::span<const uint64_t> masks,
+                                    int trace_parent = -1);
 
   /// Effective number of concurrent chunks per wave (1 ⇒ sequential).
   int concurrency() const { return concurrency_; }
@@ -185,7 +121,8 @@ class ParallelEvaluator {
   /// thread: shared-store probe, then a kNN query, then a store write.
   /// Emits a "knn" (fresh evaluation) or "od_store_hit" span under
   /// `trace_parent` when tracing is on.
-  double ComputeOne(uint64_t mask, Source* source, int trace_parent) const;
+  double ComputeOne(uint64_t mask, OdEvaluator::ValueSource* source,
+                    int trace_parent) const;
 
   OdEvaluator* root_;
   service::ThreadPool* pool_;

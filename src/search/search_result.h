@@ -24,36 +24,15 @@ struct SearchCounters {
   /// Point-to-point distance computations inside the kNN engine. Measured
   /// as a before/after delta of the engine's process-wide counter, so it is
   /// exact only when the engine serves one query at a time; concurrent
-  /// queries (service::QueryService) bleed into each other's deltas. With
-  /// speculative frontier prefetch on, this includes the kNN work behind
-  /// wasted_evaluations.
+  /// queries (service::QueryService) bleed into each other's deltas.
   uint64_t distance_computations = 0;
-  /// Speculative OD evaluations (SearchExecution::speculate) whose subspace
-  /// was pruned before its level came up — work the sequential walk would
-  /// have skipped. Kept out of od_evaluations so that counter stays
-  /// order-independent: od_evaluations + pruned_upward + pruned_downward
-  /// == 2^d - 1 for every strategy, speculation on or off. Always 0 without
-  /// speculation.
-  uint64_t wasted_evaluations = 0;
   /// Subspaces decided by the density-bound pre-filter without any kNN
-  /// call (SearchExecution::filter_mode != kOff). These are "evaluated" as
-  /// far as the lattice is concerned — the closure identity becomes
-  /// od_evaluations + pruned_upward + pruned_downward + bound_decisions
-  /// == 2^d - 1 — and in conservative mode the verdicts are provably the
-  /// ones the exact path would have produced.
+  /// call (SearchExecution::filter_mode == kConservative). These are
+  /// "evaluated" as far as the lattice is concerned — the closure identity
+  /// becomes od_evaluations + pruned_upward + pruned_downward +
+  /// bound_decisions == 2^d - 1 — and every verdict is provably the one the
+  /// exact path would have produced.
   uint64_t bound_decisions = 0;
-  /// Bound decisions taken speculatively (bounds straddled the threshold
-  /// but the interval was tight; kSpeculative only). Each may be wrong.
-  uint64_t risky_decisions = 0;
-  /// Widest bound interval a risky decision acted on; 0 when
-  /// risky_decisions == 0. bound_gap == 0 therefore certifies the answer
-  /// is identical to a FilterMode::kOff run.
-  double bound_gap = 0.0;
-  /// Refined-tier filter passes the learned per-level gate skipped
-  /// (SearchExecution::filter_gate). Each skip sends the mask straight to
-  /// the exact path, so conservative answers are unchanged — the counter
-  /// only records work the gate saved.
-  uint64_t gate_skips = 0;
   /// Wall-clock seconds.
   double elapsed_seconds = 0.0;
   /// Search steps (level batches for the dynamic search).

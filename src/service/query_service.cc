@@ -32,10 +32,6 @@ QueryService::QueryService(core::HosMiner miner, QueryServiceConfig config)
   // build-time rows too, not just post-construction appends.
   RecordVersionSample();
   RegisterMetricCallbacks();
-  if (config_.filter_mode != filter::FilterMode::kOff) {
-    filter_margin_hist_ =
-        registry_.GetHistogram("service_filter_margin_distribution");
-  }
   if (config_.observability.stats_log_period_seconds > 0.0) {
     stats_logger_ = std::thread([this] { StatsLoggerLoop(); });
   }
@@ -208,11 +204,9 @@ Result<core::QueryResult> QueryService::RunTimedQuery(data::PointId id) {
   if (result.ok()) {
     const search::SearchCounters& counters = result.value().outcome.counters;
     stats_.RecordQuery(latency, counters.od_evaluations,
-                       counters.wasted_evaluations,
-                       counters.bound_decisions, counters.risky_decisions,
-                       counters.bound_gap, counters.gate_skips);
+                       counters.bound_decisions);
   } else {
-    stats_.RecordQuery(latency, 0, 0);
+    stats_.RecordQuery(latency, 0);
     if (result.status().IsNotFound()) {
       // The id was deleted / slid out of the window: a clean client-visible
       // rejection, counted separately from stale_fallbacks (which is an
@@ -289,12 +283,10 @@ void QueryService::RunTimedBlock(
           result.value().outcome.counters;
       fused_evaluations += counters.od_evaluations;
       stats_.RecordQuery(latency, counters.od_evaluations,
-                         counters.wasted_evaluations,
-                         counters.bound_decisions, counters.risky_decisions,
-                         counters.bound_gap, counters.gate_skips);
+                         counters.bound_decisions);
       if (traced) result.value().trace = trace;
     } else {
-      stats_.RecordQuery(latency, 0, 0);
+      stats_.RecordQuery(latency, 0);
       if (result.status().IsNotFound()) stats_.RecordEvictedReject();
     }
     (*slots)[base + i] = std::move(result);

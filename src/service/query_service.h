@@ -158,28 +158,8 @@ struct QueryServiceConfig {
   /// Density-bound OD pre-filter for every query this service runs
   /// (QueryOptions::filter_mode): kOff (default) never consults it,
   /// kConservative skips exact kNN work only when provably safe (answers
-  /// bitwise identical), kSpeculative may decide near-threshold subspaces
-  /// by bound midpoint and reports each such decision via the
-  /// filter_risky_decisions counter / last_bound_gap gauge.
+  /// bitwise identical).
   filter::FilterMode filter_mode = filter::FilterMode::kOff;
-  /// kSpeculative only: maximum bound-interval width, as a fraction of the
-  /// threshold, a midpoint decision may act on.
-  double filter_speculative_slack = 0.25;
-  /// Frontier dispatch order (QueryOptions::frontier_ordering): kNone keeps
-  /// the canonical mask order; kBoundMargin (with the filter on) evaluates
-  /// each level's undecided masks widest-filter-margin-first, so near-miss
-  /// subspaces hit the engine while its caches are warmest. Answers and
-  /// counters are bitwise identical either way — only the execution order
-  /// within a level changes.
-  search::FrontierOrdering frontier_ordering =
-      search::FrontierOrdering::kNone;
-  /// Learned per-level gate (QueryOptions::filter_gate): when true (and the
-  /// filter is on), levels whose refined tier historically decides almost
-  /// nothing skip tier 2 and go straight to exact kNN, trading a wasted
-  /// O(rows·|s|) bound pass for the evaluation it would not have avoided.
-  /// Conservative-mode answers stay bitwise identical; skips are reported
-  /// via the filter_gate_skips counter.
-  bool filter_gate = false;
   /// Fused multi-query execution: QueryBatch splits each batch into blocks
   /// of at most this many ids and co-schedules every block's lattice
   /// searches (HosMiner::QueryBatchFused → search::BatchFrontierRunner),
@@ -296,10 +276,6 @@ class QueryService {
     options.lattice_backend = config_.lattice_backend;
     options.max_od_evaluations = config_.max_od_evaluations;
     options.filter_mode = config_.filter_mode;
-    options.filter_speculative_slack = config_.filter_speculative_slack;
-    options.frontier_ordering = config_.frontier_ordering;
-    options.filter_gate = config_.filter_gate;
-    options.margin_histogram = filter_margin_hist_;
     return options;
   }
 
@@ -375,10 +351,6 @@ class QueryService {
   /// Declared before stats_: ServiceStats holds handles into the registry.
   obs::MetricsRegistry registry_;
   ServiceStats stats_;
-  /// Distribution of filter decision margins (positive = decided clearance,
-  /// negative straddles clamp into bucket 0). Registered at construction
-  /// when the filter is on; null otherwise so queries pay nothing.
-  obs::Histogram* filter_margin_hist_ = nullptr;
   /// Backend work counters accumulated from engines replaced by rebuilds
   /// (an ingest rebuild swaps in a fresh engine whose counters start at
   /// zero). Guarded by epoch_mu_: written under the writer side only.

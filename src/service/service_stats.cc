@@ -13,15 +13,8 @@ ServiceStats::ServiceStats(obs::MetricsRegistry* registry)
           registry->GetCounter("service_rebuilds_completed")),
       slow_queries_(registry->GetCounter("service_slow_queries")),
       od_evaluations_(registry->GetCounter("service_od_evaluations")),
-      wasted_evaluations_(
-          registry->GetCounter("service_wasted_evaluations")),
       filter_bound_decisions_(
           registry->GetCounter("service_filter_bound_decisions")),
-      filter_risky_decisions_(
-          registry->GetCounter("service_filter_risky_decisions")),
-      last_bound_gap_(registry->GetGauge("service_last_bound_gap")),
-      filter_gate_skips_(
-          registry->GetCounter("service_filter_gate_skips")),
       rows_deleted_(registry->GetCounter("service_rows_deleted")),
       rows_evicted_(registry->GetCounter("service_rows_evicted")),
       evicted_query_rejects_(
@@ -43,28 +36,13 @@ ServiceStats::ServiceStats(obs::MetricsRegistry* registry)
 
 void ServiceStats::RecordQuery(double latency_seconds,
                                uint64_t od_evaluations,
-                               uint64_t wasted_evaluations,
-                               uint64_t bound_decisions,
-                               uint64_t risky_decisions, double bound_gap,
-                               uint64_t gate_skips) {
+                               uint64_t bound_decisions) {
   queries_served_->Increment();
   latencies_->Record(latency_seconds);
   if (od_evaluations > 0) od_evaluations_->Increment(od_evaluations);
-  if (wasted_evaluations > 0) {
-    wasted_evaluations_->Increment(wasted_evaluations);
-  }
   if (bound_decisions > 0) {
     filter_bound_decisions_->Increment(bound_decisions);
   }
-  if (risky_decisions > 0) {
-    filter_risky_decisions_->Increment(risky_decisions);
-    // Gauge semantics: the most recent risky query's widest interval. A
-    // risk-free query leaves it untouched so a scrape between queries
-    // still explains the last nonzero risk, and a fully conservative
-    // service never writes it (stays 0).
-    last_bound_gap_->Set(bound_gap);
-  }
-  if (gate_skips > 0) filter_gate_skips_->Increment(gate_skips);
 }
 
 ServiceStatsSnapshot ServiceStats::Snapshot() const {
@@ -76,11 +54,7 @@ ServiceStatsSnapshot ServiceStats::Snapshot() const {
   snapshot.rebuilds_completed = rebuilds_completed_->value();
   snapshot.slow_queries = slow_queries_->value();
   snapshot.od_evaluations = od_evaluations_->value();
-  snapshot.wasted_evaluations = wasted_evaluations_->value();
   snapshot.filter_bound_decisions = filter_bound_decisions_->value();
-  snapshot.filter_risky_decisions = filter_risky_decisions_->value();
-  snapshot.last_bound_gap = last_bound_gap_->value();
-  snapshot.filter_gate_skips = filter_gate_skips_->value();
   snapshot.rows_deleted = rows_deleted_->value();
   snapshot.rows_evicted = rows_evicted_->value();
   snapshot.evicted_query_rejects = evicted_query_rejects_->value();
@@ -114,10 +88,7 @@ std::string ServiceStatsSnapshot::ToJson() const {
       "\"delta_rows\": %llu, \"delta_fraction\": %.4f, "
       "\"live_rows\": %llu, \"tombstone_rows\": %llu, "
       "\"churn_fraction\": %.4f, \"learning_staleness\": %.4f, "
-      "\"od_evaluations\": %llu, \"wasted_evaluations\": %llu, "
-      "\"filter_bound_decisions\": %llu, "
-      "\"filter_risky_decisions\": %llu, \"last_bound_gap\": %.6g, "
-      "\"filter_gate_skips\": %llu, "
+      "\"od_evaluations\": %llu, \"filter_bound_decisions\": %llu, "
       "\"stale_fallbacks\": %llu, \"slow_queries\": %llu, "
       "\"batched_queries\": %llu, \"batch_fused_evaluations\": %llu}",
       static_cast<unsigned long long>(queries_served),
@@ -140,11 +111,7 @@ std::string ServiceStatsSnapshot::ToJson() const {
       static_cast<unsigned long long>(tombstone_rows), churn_fraction,
       learning_staleness,
       static_cast<unsigned long long>(od_evaluations),
-      static_cast<unsigned long long>(wasted_evaluations),
       static_cast<unsigned long long>(filter_bound_decisions),
-      static_cast<unsigned long long>(filter_risky_decisions),
-      last_bound_gap,
-      static_cast<unsigned long long>(filter_gate_skips),
       static_cast<unsigned long long>(stale_fallbacks),
       static_cast<unsigned long long>(slow_queries),
       static_cast<unsigned long long>(batched_queries),

@@ -96,19 +96,9 @@ struct ServiceStatsSnapshot {
 
   // Search-work aggregates summed over every served query's counters.
   uint64_t od_evaluations = 0;
-  uint64_t wasted_evaluations = 0;
   /// Subspaces decided by the density-bound pre-filter instead of an exact
   /// kNN call, summed over every served query (0 with FilterMode::kOff).
   uint64_t filter_bound_decisions = 0;
-  /// Bound decisions taken speculatively (kSpeculative only) — each may
-  /// have flipped an answer.
-  uint64_t filter_risky_decisions = 0;
-  /// Widest bound interval the most recent query's risky decisions acted
-  /// on; 0 certifies that query matched FilterMode::kOff bitwise.
-  double last_bound_gap = 0.0;
-  /// Refined filter passes skipped by the learned per-level gate, summed
-  /// over every served query (0 unless the gate is enabled).
-  uint64_t filter_gate_skips = 0;
   /// kNN-backend queries forced fully scalar because the base snapshot was
   /// invalidated (folded across engine swaps, so monotone over the
   /// service's lifetime).
@@ -137,13 +127,9 @@ class ServiceStats {
   ServiceStats& operator=(const ServiceStats&) = delete;
 
   /// Records one completed query: wall-clock latency plus the query's
-  /// search-work counters (0 for failed queries). The filter trio defaults
-  /// keep pre-filter-unaware callers recording zeros.
+  /// search-work counters (0 for failed queries).
   void RecordQuery(double latency_seconds, uint64_t od_evaluations,
-                   uint64_t wasted_evaluations,
-                   uint64_t bound_decisions = 0,
-                   uint64_t risky_decisions = 0, double bound_gap = 0.0,
-                   uint64_t gate_skips = 0);
+                   uint64_t bound_decisions = 0);
   void RecordBatch() { batches_served_->Increment(); }
   void RecordSlowQuery() { slow_queries_->Increment(); }
 
@@ -217,11 +203,7 @@ class ServiceStats {
   obs::Counter* rebuilds_completed_;
   obs::Counter* slow_queries_;
   obs::Counter* od_evaluations_;
-  obs::Counter* wasted_evaluations_;
   obs::Counter* filter_bound_decisions_;
-  obs::Counter* filter_risky_decisions_;
-  obs::Gauge* last_bound_gap_;
-  obs::Counter* filter_gate_skips_;
   obs::Counter* rows_deleted_;
   obs::Counter* rows_evicted_;
   obs::Counter* evicted_query_rejects_;

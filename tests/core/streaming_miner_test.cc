@@ -280,5 +280,58 @@ TEST(StreamingMinerTest, RebuildFoldsTombstonesAndReclaimsChunks) {
       miner.Query(static_cast<data::PointId>(data::Dataset::kChunkRows)).ok());
 }
 
+// A window slid below k+1 live rows leaves an OD summed over fewer than k
+// neighbours, which is no OD at all: every query entry point must refuse
+// with FailedPrecondition instead of answering (k = 3 in BuildMiner).
+TEST(StreamingMinerTest, QueryFailsOnceFewerThanKOtherRowsAreLive) {
+  HosMiner miner = BuildMiner(14, /*rows=*/10);
+  EXPECT_EQ(miner.EvictOldest(6), 6u);  // rows 6..9 live: 3 besides row 9
+  ASSERT_TRUE(miner.Query(9).ok());
+
+  EXPECT_EQ(miner.EvictOldest(1), 1u);  // rows 7..9: 2 besides row 9
+  auto result = miner.Query(9);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsFailedPrecondition())
+      << result.status().ToString();
+  // Dead ids still report NotFound, not the window precondition.
+  EXPECT_TRUE(miner.Query(0).status().IsNotFound());
+}
+
+TEST(StreamingMinerTest, QueryBatchFusedFailsEveryLiveSlotOnAShortWindow) {
+  HosMiner miner = BuildMiner(15, /*rows=*/10);
+  ASSERT_TRUE(
+      miner.Delete(std::vector<data::PointId>{0, 1, 2, 3, 4, 5, 6}).ok());
+  const std::vector<data::PointId> ids = {7, 0, 9};
+  auto results = miner.QueryBatchFused(ids, QueryOptions{});
+  ASSERT_EQ(results.size(), ids.size());
+  EXPECT_TRUE(results[0].status().IsFailedPrecondition())
+      << results[0].status().ToString();
+  EXPECT_TRUE(results[1].status().IsNotFound())
+      << results[1].status().ToString();
+  EXPECT_TRUE(results[2].status().IsFailedPrecondition())
+      << results[2].status().ToString();
+}
+
+TEST(StreamingMinerTest, QueryPointFailsOnceFewerThanKRowsAreLive) {
+  HosMiner miner = BuildMiner(16, /*rows=*/10);
+  const uint64_t before_append = miner.version();
+  ASSERT_TRUE(miner
+                  .Append({{0.1, 0.2, 0.3, 0.4, 0.5},
+                           {0.5, 0.4, 0.3, 0.2, 0.1},
+                           {0.3, 0.3, 0.3, 0.3, 0.3}})
+                  .ok());
+  const std::vector<double> probe = {0.2, 0.2, 0.2, 0.2, 0.2};
+  // TTL-evict the build-time rows: the 3 appended rows stay, exactly k
+  // neighbours for an external point.
+  EXPECT_EQ(miner.EvictBefore(before_append + 1), 10u);
+  ASSERT_TRUE(miner.QueryPoint(probe).ok());
+
+  EXPECT_EQ(miner.EvictBefore(before_append + 2), 1u);
+  auto result = miner.QueryPoint(probe);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsFailedPrecondition())
+      << result.status().ToString();
+}
+
 }  // namespace
 }  // namespace hos::core

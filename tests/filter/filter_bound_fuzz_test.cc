@@ -78,14 +78,18 @@ TEST_P(BoundSoundnessTest, BoundsContainExactOdThroughStreamingMutations) {
     config.threshold = 0.9;
     config.index = GetParam();
     config.sample_size = 0;
-    // Hooks off: this arm pins the legacy rebuild-era semantics — the
-    // summary goes stale under mutation and the filter must stay sound
-    // anyway. The synced incremental path is fuzzed by the sliding-window
-    // test below.
-    config.incremental_filter_tallies = false;
     auto built = core::HosMiner::Build(std::move(dataset), config);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     core::HosMiner miner = std::move(built).value();
+    // A second filter over the miner's dataset that no commit hook ever
+    // updates: it pins the rebuild-era semantics of a consumer mutating the
+    // dataset directly — the summary goes stale under mutation and the
+    // filter must stay sound anyway. The miner's own (synced) filter is
+    // swept alongside it.
+    const filter::DensityBoundFilter stale(
+        miner.dataset(), config.metric,
+        filter::DensitySummary::Build(miner.dataset(),
+                                      config.va_file.bits_per_dim));
 
     const uint64_t lattice = (uint64_t{1} << kDims) - 1;
     Rng fuzz(seed * 7 + 1);
@@ -102,6 +106,7 @@ TEST_P(BoundSoundnessTest, BoundsContainExactOdThroughStreamingMutations) {
             static_cast<uint64_t>(fuzz.UniformInt(1, lattice));
         ExpectSound(*miner.density_filter(), miner.engine(), miner.dataset(),
                     id, mask);
+        ExpectSound(stale, miner.engine(), miner.dataset(), id, mask);
       }
     };
 
@@ -127,8 +132,9 @@ TEST_P(BoundSoundnessTest, BoundsContainExactOdThroughStreamingMutations) {
   }
 }
 
-// Sliding-window incremental-tally fuzz: with the commit-path hooks ON
-// (the default), the summary must stay synced() and the bounds sound
+// Sliding-window incremental-tally fuzz: with the miner's commit-path
+// hooks keeping the tallies applied, the summary must stay synced() and the
+// bounds sound
 // through arbitrary interleavings of appends (both inside the frozen grid
 // and outside it), deletes and evictions — with NO rebuild ever running.
 // This is the soundness half of the incremental-density-tally contract:
@@ -276,10 +282,10 @@ TEST(BoundSoundnessMetricTest, AllMetricsSound) {
   }
 }
 
-// Many threads, one shared miner, the filter in both active modes: the
+// Many threads, one shared miner, half of them with the filter on: the
 // filter is immutable after construction and every per-query structure is
 // stack-local, so the TSan job (ctest -L filter) must stay silent and
-// every thread must see conservative answers identical to kOff.
+// every thread must see answers identical to a sequential kOff run.
 TEST(FilterConcurrencyTest, ConcurrentFilteredQueriesAreRaceFreeAndExact) {
   Rng data_rng(717);
   data::Dataset dataset = data::GenerateUniform(80, kDims, &data_rng);
@@ -304,20 +310,13 @@ TEST(FilterConcurrencyTest, ConcurrentFilteredQueriesAreRaceFreeAndExact) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&miner, &expected, t] {
       core::QueryOptions options;
-      options.filter_mode = (t % 2 == 0)
-                                ? filter::FilterMode::kConservative
-                                : filter::FilterMode::kSpeculative;
+      options.filter_mode = (t % 2 == 0) ? filter::FilterMode::kConservative
+                                         : filter::FilterMode::kOff;
       for (int round = 0; round < 3; ++round) {
         for (data::PointId id = 0; id < 16; ++id) {
           auto result = miner.Query(id, options);
           ASSERT_TRUE(result.ok()) << result.status().ToString();
-          if (options.filter_mode == filter::FilterMode::kConservative) {
-            EXPECT_EQ(result->outcome.minimal_outlying_subspaces,
-                      expected[id]);
-          } else if (result->outcome.counters.bound_gap == 0.0) {
-            EXPECT_EQ(result->outcome.minimal_outlying_subspaces,
-                      expected[id]);
-          }
+          EXPECT_EQ(result->outcome.minimal_outlying_subspaces, expected[id]);
         }
       }
     });

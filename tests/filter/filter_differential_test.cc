@@ -12,10 +12,6 @@
 //    and step counters — while od_evaluations drops by exactly
 //    bound_decisions (the sum identity), and the closure identity
 //    od + pruned_up + pruned_down + bound_decisions == 2^d - 1 holds.
-//  * FilterMode::kSpeculative may mis-decide near-threshold subspaces, but
-//    must be *honest* about it: whenever any verdict differs from kOff the
-//    result carries risky_decisions > 0 and bound_gap > 0; conversely
-//    bound_gap == 0 certifies the answer matched kOff exactly.
 //  * The filter must actually fire: across the query set, conservative
 //    mode's summed bound_decisions is > 0 (the contract is not allowed to
 //    hold vacuously).
@@ -32,7 +28,6 @@
 #include "src/data/generator.h"
 #include "src/filter/density_filter.h"
 #include "src/filter/density_summary.h"
-#include "src/filter/filter_gate.h"
 #include "src/index/idistance.h"
 #include "tests/testutil/adversarial_gen.h"
 
@@ -81,18 +76,15 @@ Scenario RandomScenario(core::IndexKind index) {
 }
 
 /// Adversarial arm: near-threshold bands + correlated dims + duplicates,
-/// with the tombstone set applied after Build AND the incremental tally
-/// hooks disabled, so the filter's summary is stale in exactly the way the
-/// pre-incremental rebuild-era semantics leave it (the synced incremental
-/// path has its own windowed suites). Normalization off and the
-/// generator's own threshold, so the bands stay near T.
+/// with the tombstone set applied after Build, so the filter's tallies
+/// retire the deleted rows through the miner's commit hook. Normalization
+/// off and the generator's own threshold, so the bands stay near T.
 Scenario AdversarialScenario(core::IndexKind index) {
   testutil::AdversarialSpec spec;
   spec.seed = 77;
   testutil::AdversarialDataset scenario = testutil::MakeAdversarial(spec);
 
   core::HosMinerConfig config = BaseConfig(index);
-  config.incremental_filter_tallies = false;
   config.k = scenario.k;
   config.threshold = scenario.threshold;
   config.normalization = data::NormalizationKind::kNone;
@@ -125,7 +117,7 @@ std::vector<bool> VerdictVector(const core::QueryResult& result, int d) {
 class FilterDifferentialTest
     : public ::testing::TestWithParam<core::IndexKind> {};
 
-TEST_P(FilterDifferentialTest, ConservativeIsBitwiseOffAndSpeculativeIsHonest) {
+TEST_P(FilterDifferentialTest, ConservativeIsBitwiseOff) {
   std::vector<Scenario> scenarios;
   scenarios.push_back(RandomScenario(GetParam()));
   scenarios.push_back(AdversarialScenario(GetParam()));
@@ -147,20 +139,14 @@ TEST_P(FilterDifferentialTest, ConservativeIsBitwiseOffAndSpeculativeIsHonest) {
         off_opts.lattice_backend = backend;
         core::QueryOptions cons_opts = off_opts;
         cons_opts.filter_mode = filter::FilterMode::kConservative;
-        core::QueryOptions spec_opts = off_opts;
-        spec_opts.filter_mode = filter::FilterMode::kSpeculative;
 
         auto off = scenario.miner.Query(id, off_opts);
         auto cons = scenario.miner.Query(id, cons_opts);
-        auto spec = scenario.miner.Query(id, spec_opts);
         ASSERT_TRUE(off.ok()) << off.status().ToString();
         ASSERT_TRUE(cons.ok()) << cons.status().ToString();
-        ASSERT_TRUE(spec.ok()) << spec.status().ToString();
 
-        // --- kOff sanity: the filter counters stay untouched.
+        // --- kOff sanity: the filter counter stays untouched.
         EXPECT_EQ(off->outcome.counters.bound_decisions, 0u);
-        EXPECT_EQ(off->outcome.counters.risky_decisions, 0u);
-        EXPECT_EQ(off->outcome.counters.bound_gap, 0.0);
 
         // --- Conservative: bitwise identical answers.
         EXPECT_EQ(cons->outcome.minimal_outlying_subspaces,
@@ -180,9 +166,6 @@ TEST_P(FilterDifferentialTest, ConservativeIsBitwiseOffAndSpeculativeIsHonest) {
         EXPECT_EQ(off->outcome.counters.od_evaluations,
                   cons->outcome.counters.od_evaluations +
                       cons->outcome.counters.bound_decisions);
-        // Conservative decisions are proofs, never risks.
-        EXPECT_EQ(cons->outcome.counters.risky_decisions, 0u);
-        EXPECT_EQ(cons->outcome.counters.bound_gap, 0.0);
         // Closure identity with the filter in the loop.
         EXPECT_EQ(cons->outcome.counters.od_evaluations +
                       cons->outcome.counters.pruned_upward +
@@ -190,32 +173,6 @@ TEST_P(FilterDifferentialTest, ConservativeIsBitwiseOffAndSpeculativeIsHonest) {
                       cons->outcome.counters.bound_decisions,
                   lattice);
         total_bound_decisions += cons->outcome.counters.bound_decisions;
-
-        // --- Speculative: closure still holds, and the report is honest.
-        EXPECT_EQ(spec->outcome.counters.od_evaluations +
-                      spec->outcome.counters.pruned_upward +
-                      spec->outcome.counters.pruned_downward +
-                      spec->outcome.counters.bound_decisions,
-                  lattice);
-        EXPECT_GE(spec->outcome.counters.bound_decisions,
-                  spec->outcome.counters.risky_decisions);
-        const bool answers_differ =
-            VerdictVector(*spec, d) != VerdictVector(*off, d) ||
-            spec->outcome.minimal_outlying_subspaces !=
-                off->outcome.minimal_outlying_subspaces;
-        if (answers_differ) {
-          // A flipped answer must be accompanied by a nonzero reported gap
-          // and at least one declared risky decision.
-          EXPECT_GT(spec->outcome.counters.risky_decisions, 0u);
-          EXPECT_GT(spec->outcome.counters.bound_gap, 0.0);
-        }
-        if (spec->outcome.counters.bound_gap == 0.0) {
-          // gap == 0 certifies bitwise equality with kOff.
-          EXPECT_EQ(spec->outcome.counters.risky_decisions, 0u);
-          EXPECT_FALSE(answers_differ);
-          EXPECT_EQ(spec->outcome.evaluated_outliers,
-                    off->outcome.evaluated_outliers);
-        }
       }
 
       // The contract must not hold vacuously: across the query set the
@@ -225,124 +182,6 @@ TEST_P(FilterDifferentialTest, ConservativeIsBitwiseOffAndSpeculativeIsHonest) {
           << "the pre-filter never fired on scenario " << scenario.name;
     }
   }
-}
-
-// The bound-margin frontier ordering reorders only the exact-evaluation
-// dispatch inside a level — the lattice merge stays canonical — so every
-// field of the outcome, including the order-sensitive evaluated_outliers
-// list and the full counter set, must be bitwise the canonical-order
-// run's, in both filter modes, on both scenario arms.
-TEST_P(FilterDifferentialTest, BoundMarginOrderingIsExecutionOnly) {
-  std::vector<Scenario> scenarios;
-  scenarios.push_back(RandomScenario(GetParam()));
-  scenarios.push_back(AdversarialScenario(GetParam()));
-
-  for (Scenario& scenario : scenarios) {
-    SCOPED_TRACE("scenario=" + scenario.name);
-    const int d = scenario.miner.num_dims();
-    const uint64_t lattice = (uint64_t{1} << d) - 1;
-    for (filter::FilterMode mode : {filter::FilterMode::kConservative,
-                                    filter::FilterMode::kSpeculative}) {
-      SCOPED_TRACE(mode == filter::FilterMode::kConservative
-                       ? "conservative"
-                       : "speculative");
-      for (data::PointId id : scenario.queries) {
-        SCOPED_TRACE("query id=" + std::to_string(id));
-        core::QueryOptions canonical;
-        canonical.filter_mode = mode;
-        core::QueryOptions ordered = canonical;
-        ordered.frontier_ordering = search::FrontierOrdering::kBoundMargin;
-
-        auto canon = scenario.miner.Query(id, canonical);
-        auto ord = scenario.miner.Query(id, ordered);
-        ASSERT_TRUE(canon.ok()) << canon.status().ToString();
-        ASSERT_TRUE(ord.ok()) << ord.status().ToString();
-
-        EXPECT_EQ(ord->outcome.minimal_outlying_subspaces,
-                  canon->outcome.minimal_outlying_subspaces);
-        EXPECT_EQ(ord->outcome.evaluated_outliers,
-                  canon->outcome.evaluated_outliers);
-        EXPECT_EQ(ord->outcome.outlier_fraction,
-                  canon->outcome.outlier_fraction);
-        EXPECT_EQ(VerdictVector(*ord, d), VerdictVector(*canon, d));
-        EXPECT_EQ(ord->outcome.counters.od_evaluations,
-                  canon->outcome.counters.od_evaluations);
-        EXPECT_EQ(ord->outcome.counters.pruned_upward,
-                  canon->outcome.counters.pruned_upward);
-        EXPECT_EQ(ord->outcome.counters.pruned_downward,
-                  canon->outcome.counters.pruned_downward);
-        EXPECT_EQ(ord->outcome.counters.steps,
-                  canon->outcome.counters.steps);
-        EXPECT_EQ(ord->outcome.counters.bound_decisions,
-                  canon->outcome.counters.bound_decisions);
-        EXPECT_EQ(ord->outcome.counters.risky_decisions,
-                  canon->outcome.counters.risky_decisions);
-        EXPECT_EQ(ord->outcome.counters.bound_gap,
-                  canon->outcome.counters.bound_gap);
-        EXPECT_EQ(ord->outcome.counters.od_evaluations +
-                      ord->outcome.counters.pruned_upward +
-                      ord->outcome.counters.pruned_downward +
-                      ord->outcome.counters.bound_decisions,
-                  lattice);
-      }
-    }
-  }
-}
-
-// The learned per-level gate may redistribute work (a suppressed refined
-// pass sends its mask to the exact path) but must never change a
-// conservative answer. The gate is pre-trained to all-undecided refined
-// rates so the skip branch is guaranteed to run — and then must actually
-// fire (gate_skips > 0 somewhere), since near-threshold masks that the
-// coarse tier cannot decide exist on both scenario arms.
-TEST_P(FilterDifferentialTest, LearnedGateKeepsConservativeAnswersBitwise) {
-  std::vector<Scenario> scenarios;
-  scenarios.push_back(RandomScenario(GetParam()));
-  scenarios.push_back(AdversarialScenario(GetParam()));
-
-  uint64_t total_gate_skips = 0;
-  for (Scenario& scenario : scenarios) {
-    SCOPED_TRACE("scenario=" + scenario.name);
-    const int d = scenario.miner.num_dims();
-    const uint64_t lattice = (uint64_t{1} << d) - 1;
-
-    filter::FilterGate* gate = scenario.miner.filter_gate();
-    ASSERT_NE(gate, nullptr);
-    for (int level = 1; level <= d; ++level) {
-      for (int i = 0; i < 128; ++i) gate->RecordRefined(level, false);
-    }
-
-    for (data::PointId id : scenario.queries) {
-      SCOPED_TRACE("query id=" + std::to_string(id));
-      core::QueryOptions off_opts;
-      core::QueryOptions gated = off_opts;
-      gated.filter_mode = filter::FilterMode::kConservative;
-      gated.filter_gate = true;
-
-      auto off = scenario.miner.Query(id, off_opts);
-      auto cons = scenario.miner.Query(id, gated);
-      ASSERT_TRUE(off.ok()) << off.status().ToString();
-      ASSERT_TRUE(cons.ok()) << cons.status().ToString();
-
-      EXPECT_EQ(cons->outcome.minimal_outlying_subspaces,
-                off->outcome.minimal_outlying_subspaces);
-      EXPECT_EQ(cons->outcome.outlier_fraction,
-                off->outcome.outlier_fraction);
-      EXPECT_EQ(VerdictVector(*cons, d), VerdictVector(*off, d));
-      EXPECT_EQ(cons->outcome.counters.risky_decisions, 0u);
-      EXPECT_EQ(cons->outcome.counters.bound_gap, 0.0);
-      // Closure holds with skips in the mix: a skipped mask just became an
-      // exact evaluation instead of a bound decision.
-      EXPECT_EQ(cons->outcome.counters.od_evaluations +
-                    cons->outcome.counters.pruned_upward +
-                    cons->outcome.counters.pruned_downward +
-                    cons->outcome.counters.bound_decisions,
-                lattice);
-      total_gate_skips += cons->outcome.counters.gate_skips;
-    }
-  }
-  EXPECT_GT(total_gate_skips, 0u)
-      << "the trained gate never suppressed a refined pass";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FilterDifferentialTest,
@@ -392,15 +231,13 @@ TEST(FilterIDistanceTest, ConservativeVerdictsAgreeWithExactFullSpaceOd) {
     const bool exact_outlier = exact_od >= scenario.threshold;
 
     const filter::FilterDecision decision = filter.Decide(
-        dataset.Row(id), full, scenario.k, id, scenario.threshold,
-        filter::FilterMode::kConservative, /*speculative_slack=*/0.0);
+        dataset.Row(id), full, scenario.k, id, scenario.threshold);
     if (!decision.decided()) continue;
     ++decided;
     EXPECT_EQ(decision.verdict == filter::FilterDecision::Verdict::kOutlier,
               exact_outlier)
         << "conservative verdict contradicts iDistance-exact OD " << exact_od
         << " for id " << id;
-    EXPECT_FALSE(decision.risky);
   }
   // Far-from-threshold rows exist by construction, so some must decide.
   EXPECT_GT(decided, 0u);

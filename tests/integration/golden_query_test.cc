@@ -69,7 +69,7 @@ TEST(GoldenQueryTest, ResultJsonMatchesCheckedInAnswer) {
 // The same query with its lattice frontier fanned out across a 4-thread
 // pool must serialise byte-identically to the single-threaded golden
 // answer — answers, OD-derived fields AND work counters (same subspaces
-// evaluated, same kNN calls, zero speculation), so any scheduling leak
+// evaluated, same kNN calls), so any scheduling leak
 // into the result surfaces as a diff against the same fixture.
 TEST(GoldenQueryTest, ParallelSearchMatchesGoldenByteForByte) {
   const std::string dir =

@@ -115,8 +115,8 @@ void ExpectBitwiseOutcome(const core::QueryResult& streamed,
             reference.outcome.counters.pruned_downward);
   EXPECT_EQ(streamed.outcome.counters.steps,
             reference.outcome.counters.steps);
-  EXPECT_EQ(streamed.outcome.counters.wasted_evaluations,
-            reference.outcome.counters.wasted_evaluations);
+  EXPECT_EQ(streamed.outcome.counters.bound_decisions,
+            reference.outcome.counters.bound_decisions);
 }
 
 /// OD(p, s) compared bit-for-bit at the engine level over every subspace of

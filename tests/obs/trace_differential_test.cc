@@ -61,8 +61,8 @@ void ExpectIdentical(const core::QueryResult& off, const core::QueryResult& on,
             on.outcome.counters.pruned_upward);
   EXPECT_EQ(off.outcome.counters.pruned_downward,
             on.outcome.counters.pruned_downward);
-  EXPECT_EQ(off.outcome.counters.wasted_evaluations,
-            on.outcome.counters.wasted_evaluations);
+  EXPECT_EQ(off.outcome.counters.bound_decisions,
+            on.outcome.counters.bound_decisions);
   EXPECT_EQ(off.outcome.counters.steps, on.outcome.counters.steps);
 }
 
@@ -218,7 +218,7 @@ TEST(TraceDifferentialTest, OneMetricsSnapshotCoversEverySubsystem) {
            "\"service_queries_served\"", "\"service_batches_served\"",
            "\"service_query_latency_seconds\"", "\"service_slow_queries\"",
            // search aggregates
-           "\"service_od_evaluations\"", "\"service_wasted_evaluations\"",
+           "\"service_od_evaluations\"", "\"service_filter_bound_decisions\"",
            // cache
            "\"od_cache_hits\"", "\"od_cache_misses\"", "\"od_cache_size\"",
            // ingest

@@ -98,8 +98,7 @@ TEST_P(SearchPropertyTest, LearnedPriorsPreserveExactness) {
 
 // Every strategy, in every execution mode, must account for the entire
 // lattice: explicit evaluations plus the two prunings cover all 2^d - 1
-// subspaces exactly once, with speculative work (if any) declared
-// separately — never folded into the od_evaluations count.
+// subspaces exactly once.
 TEST_P(SearchPropertyTest, EveryStrategyAccountsForTheWholeLattice) {
   const Param param = GetParam();
   const int d = param.num_dims;
@@ -132,16 +131,13 @@ TEST_P(SearchPropertyTest, EveryStrategyAccountsForTheWholeLattice) {
   strategies.push_back(std::make_unique<ExhaustiveSearch>(d));
 
   service::ThreadPool pool(3);
-  std::vector<SearchExecution> modes(3);
+  std::vector<SearchExecution> modes(2);
   modes[1].pool = &pool;
-  modes[2].pool = &pool;
-  modes[2].speculate = true;
 
   for (const auto& strategy : strategies) {
     for (const SearchExecution& exec : modes) {
       SCOPED_TRACE(std::string(strategy->name()) +
-                   (exec.pool ? " parallel" : " sequential") +
-                   (exec.speculate ? " speculative" : ""));
+                   (exec.pool ? " parallel" : " sequential"));
       OdEvaluator od(engine, ds.Row(query), 4, query);
       auto outcome = strategy->Run(&od, threshold, exec);
       ASSERT_TRUE(outcome.ok());
@@ -149,12 +145,8 @@ TEST_P(SearchPropertyTest, EveryStrategyAccountsForTheWholeLattice) {
                     outcome->counters.pruned_upward +
                     outcome->counters.pruned_downward,
                 lattice);
-      if (!exec.speculate) {
-        EXPECT_EQ(outcome->counters.wasted_evaluations, 0u);
-      }
-      // The evaluator's raw tally is the reported count plus declared waste.
-      EXPECT_EQ(od.num_evaluations(), outcome->counters.od_evaluations +
-                                          outcome->counters.wasted_evaluations);
+      // The evaluator's raw tally is exactly the reported count.
+      EXPECT_EQ(od.num_evaluations(), outcome->counters.od_evaluations);
     }
   }
 }

@@ -2,8 +2,7 @@
 // evaluation AND the lattice storage backend are execution details, not
 // semantic changes. For every d in 4..12 and two thresholds per d, every
 // strategy {dynamic, bottom-up, top-down, exhaustive} is run
-// {sequentially, parallel across 2/4/8-thread pools, and (for the pruning
-// strategies) with speculative next-level prefetch} × {dense, sparse}
+// {sequentially, parallel across 2/4/8-thread pools} × {dense, sparse}
 // lattice backends, and held to:
 //
 //   * the exact outlying-subspace answer of the ExhaustiveSearch oracle,
@@ -13,12 +12,12 @@
 //   * the sequential run of the same strategy, field by field — including
 //     the order-sensitive evaluated_outliers list (same masks, same order:
 //     the parallel merge fed the lattice store the identical seed sequence)
-//     the work counters (same evaluations, same pruning, same steps);
-//   * wasted_evaluations == 0 without speculation, and with speculation the
-//     order-independent counters still unchanged.
+//     the work counters (same evaluations, same pruning, same steps) and
+//     the memoised set (same masks, same values).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -96,7 +95,6 @@ TEST_P(StrategyDifferentialTest, AllExecutionModesMatchTheOracle) {
 
     for (const auto& strategy : strategies) {
       SCOPED_TRACE(std::string("strategy=") + std::string(strategy->name()));
-      const bool prunes = strategy->name() != "exhaustive";
 
       // Sequential reference run for this strategy.
       OdEvaluator seq_od(engine, ds.Row(query), kK, query);
@@ -108,22 +106,19 @@ TEST_P(StrategyDifferentialTest, AllExecutionModesMatchTheOracle) {
 
       struct Mode {
         service::ThreadPool* pool;  // null = sequential
-        bool speculate;
         lattice::LatticeBackend backend;
       };
       std::vector<Mode> modes;
       // The sequential sparse run checks the backend alone against the
       // sequential reference (which is dense: kAuto at d <= 12); the pool
-      // modes then cross both backends with every thread count (and
-      // speculation, where it applies). No sequential-dense mode — it
-      // would just repeat the reference run.
-      modes.push_back({nullptr, false, lattice::LatticeBackend::kSparse});
+      // modes then cross both backends with every thread count. No
+      // sequential-dense mode — it would just repeat the reference run.
+      modes.push_back({nullptr, lattice::LatticeBackend::kSparse});
       for (lattice::LatticeBackend backend :
            {lattice::LatticeBackend::kDense,
             lattice::LatticeBackend::kSparse}) {
         for (service::ThreadPool* pool : pools) {
-          modes.push_back({pool, false, backend});
-          if (prunes) modes.push_back({pool, true, backend});
+          modes.push_back({pool, backend});
         }
       }
 
@@ -131,12 +126,11 @@ TEST_P(StrategyDifferentialTest, AllExecutionModesMatchTheOracle) {
         SCOPED_TRACE(
             "threads=" +
             std::to_string(mode.pool ? mode.pool->num_threads() : 1) +
-            " speculate=" + std::to_string(mode.speculate) + " backend=" +
+            " backend=" +
             (mode.backend == lattice::LatticeBackend::kDense ? "dense"
                                                              : "sparse"));
         SearchExecution exec;
         exec.pool = mode.pool;
-        exec.speculate = mode.speculate;
         exec.lattice_backend = mode.backend;
 
         OdEvaluator par_od(engine, ds.Row(query), kK, query);
@@ -171,25 +165,13 @@ TEST_P(StrategyDifferentialTest, AllExecutionModesMatchTheOracle) {
                   seq->counters.pruned_downward);
         EXPECT_EQ(par->counters.steps, seq->counters.steps);
 
-        // (4) The whole lattice is accounted for, speculation or not.
+        // (4) The whole lattice is accounted for, and the memoised set is
+        // exactly the sequential run's (same masks, same values).
         EXPECT_EQ(par->counters.od_evaluations +
                       par->counters.pruned_upward +
                       par->counters.pruned_downward,
                   lattice);
-
-        if (!mode.speculate) {
-          // No speculation ⇒ no wasted work, and the memoised set is
-          // exactly the sequential run's (same masks, same values).
-          EXPECT_EQ(par->counters.wasted_evaluations, 0u);
-          EXPECT_EQ(MemoisedValues(par_od, d), seq_memo);
-        } else {
-          // Speculation may compute ahead, but every extra evaluation is
-          // declared: memo size = consumed evaluations + waste (shared
-          // hits impossible here: no SharedOdStore attached).
-          EXPECT_EQ(par_od.num_evaluations(),
-                    par->counters.od_evaluations +
-                        par->counters.wasted_evaluations);
-        }
+        EXPECT_EQ(MemoisedValues(par_od, d), seq_memo);
       }
     }
   }
@@ -243,7 +225,6 @@ TEST(StrategyDifferentialAdversarialTest, AllStrategiesMatchTheOracle) {
       for (bool parallel : {false, true}) {
         SearchExecution exec;
         exec.pool = parallel ? &pool : nullptr;
-        exec.speculate = parallel;
 
         OdEvaluator od(engine, ds.Row(query), scenario.k, query);
         auto run = strategy->Run(&od, scenario.threshold, exec);
@@ -266,24 +247,27 @@ TEST(StrategyDifferentialAdversarialTest, AllStrategiesMatchTheOracle) {
   }
 }
 
-// Bound-margin frontier ordering is a scheduling decision, not a semantic
-// one: with the density filter active, every pruning strategy run with
-// kBoundMargin must match its canonical-order run field by field — the
-// order-sensitive evaluated_outliers list, every work counter including
-// the filter trio, and the closure identity — in both conservative and
-// speculative modes, on the adversarial near-threshold data where a
-// reordered merge would first diverge.
-TEST(FrontierOrderingDifferentialTest, OrderingIsExecutionOnly) {
+// The density filter inside every pruning strategy's frontier runner (the
+// miner-level suite covers only the dynamic search): with the conservative
+// filter on, each strategy must match its filter-off run field by field —
+// the order-sensitive evaluated_outliers list, the pruning and step
+// counters, the memoised values — with od_evaluations lower by exactly
+// bound_decisions, on adversarial near-threshold data where a wrong bound
+// would first show.
+TEST(FilterStrategyDifferentialTest, ConservativeFilterIsBitwiseOff) {
   testutil::AdversarialSpec spec;
   spec.num_dims = 6;
   spec.seed = 3033;
   testutil::AdversarialDataset scenario = testutil::MakeAdversarial(spec);
   data::Dataset ds = testutil::ToDataset(scenario);
-  ASSERT_TRUE(ds.DeleteRows(scenario.tombstones).ok());
-  knn::LinearScanKnn engine(ds, knn::MetricKind::kL2);
+  // Summarised before the tombstones land, with no tally hook applying
+  // them: the filter runs on a stale summary, whose counts only loosen the
+  // bounds.
   const filter::DensityBoundFilter filter(
       ds, knn::MetricKind::kL2,
       filter::DensitySummary::Build(ds, /*bits_per_dim=*/8));
+  ASSERT_TRUE(ds.DeleteRows(scenario.tombstones).ok());
+  knn::LinearScanKnn engine(ds, knn::MetricKind::kL2);
 
   const int d = spec.num_dims;
   const uint64_t lattice = (uint64_t{1} << d) - 1;
@@ -297,54 +281,49 @@ TEST(FrontierOrderingDifferentialTest, OrderingIsExecutionOnly) {
   std::vector<data::PointId> queries = scenario.probes;
   queries.push_back(5);
 
+  uint64_t total_bound_decisions = 0;
   for (data::PointId query : queries) {
     SCOPED_TRACE("query id=" + std::to_string(query));
     for (const auto& strategy : strategies) {
       SCOPED_TRACE(std::string("strategy=") + std::string(strategy->name()));
-      for (filter::FilterMode mode : {filter::FilterMode::kConservative,
-                                      filter::FilterMode::kSpeculative}) {
-        SCOPED_TRACE(mode == filter::FilterMode::kConservative
-                         ? "conservative"
-                         : "speculative");
-        SearchExecution canonical;
-        canonical.filter = &filter;
-        canonical.filter_mode = mode;
-        SearchExecution ordered = canonical;
-        ordered.frontier_ordering = FrontierOrdering::kBoundMargin;
+      SearchExecution filtered;
+      filtered.filter = &filter;
+      filtered.filter_mode = filter::FilterMode::kConservative;
 
-        OdEvaluator canon_od(engine, ds.Row(query), scenario.k, query);
-        auto canon = strategy->Run(&canon_od, scenario.threshold, canonical);
-        ASSERT_TRUE(canon.ok()) << canon.status().ToString();
-        OdEvaluator ord_od(engine, ds.Row(query), scenario.k, query);
-        auto ord = strategy->Run(&ord_od, scenario.threshold, ordered);
-        ASSERT_TRUE(ord.ok()) << ord.status().ToString();
+      OdEvaluator off_od(engine, ds.Row(query), scenario.k, query);
+      auto off = strategy->Run(&off_od, scenario.threshold);
+      ASSERT_TRUE(off.ok()) << off.status().ToString();
+      OdEvaluator cons_od(engine, ds.Row(query), scenario.k, query);
+      auto cons = strategy->Run(&cons_od, scenario.threshold, filtered);
+      ASSERT_TRUE(cons.ok()) << cons.status().ToString();
 
-        EXPECT_EQ(ord->minimal_outlying_subspaces,
-                  canon->minimal_outlying_subspaces);
-        EXPECT_EQ(ord->evaluated_outliers, canon->evaluated_outliers);
-        EXPECT_EQ(ord->outlier_fraction, canon->outlier_fraction);
-        EXPECT_EQ(ord->counters.od_evaluations,
-                  canon->counters.od_evaluations);
-        EXPECT_EQ(ord->counters.pruned_upward,
-                  canon->counters.pruned_upward);
-        EXPECT_EQ(ord->counters.pruned_downward,
-                  canon->counters.pruned_downward);
-        EXPECT_EQ(ord->counters.steps, canon->counters.steps);
-        EXPECT_EQ(ord->counters.bound_decisions,
-                  canon->counters.bound_decisions);
-        EXPECT_EQ(ord->counters.risky_decisions,
-                  canon->counters.risky_decisions);
-        EXPECT_EQ(ord->counters.bound_gap, canon->counters.bound_gap);
-        EXPECT_EQ(ord->counters.gate_skips, 0u);
-        EXPECT_EQ(MemoisedValues(ord_od, d), MemoisedValues(canon_od, d));
-        EXPECT_EQ(ord->counters.od_evaluations +
-                      ord->counters.pruned_upward +
-                      ord->counters.pruned_downward +
-                      ord->counters.bound_decisions,
-                  lattice);
+      EXPECT_EQ(cons->minimal_outlying_subspaces,
+                off->minimal_outlying_subspaces);
+      EXPECT_EQ(cons->evaluated_outliers, off->evaluated_outliers);
+      EXPECT_EQ(cons->outlier_fraction, off->outlier_fraction);
+      EXPECT_EQ(cons->counters.pruned_upward, off->counters.pruned_upward);
+      EXPECT_EQ(cons->counters.pruned_downward,
+                off->counters.pruned_downward);
+      EXPECT_EQ(cons->counters.steps, off->counters.steps);
+      EXPECT_EQ(off->counters.od_evaluations,
+                cons->counters.od_evaluations +
+                    cons->counters.bound_decisions);
+      EXPECT_EQ(cons->counters.od_evaluations +
+                    cons->counters.pruned_upward +
+                    cons->counters.pruned_downward +
+                    cons->counters.bound_decisions,
+                lattice);
+      // Every value the filtered run computed is the filter-off value.
+      const auto off_memo = MemoisedValues(off_od, d);
+      for (const auto& entry : MemoisedValues(cons_od, d)) {
+        EXPECT_TRUE(std::binary_search(off_memo.begin(), off_memo.end(),
+                                       entry))
+            << "mask " << entry.first;
       }
+      total_bound_decisions += cons->counters.bound_decisions;
     }
   }
+  EXPECT_GT(total_bound_decisions, 0u) << "the filter never fired";
 }
 
 }  // namespace
