@@ -1,6 +1,6 @@
 // The density-bound OD pre-filter: exact kNN calls avoided and end-to-end
 // time, FilterMode::{off, conservative}, on the standard planted band-query
-// workload. The answers_identical flag must be true (it is a contract,
+// workload, served by the default X-tree backend. The answers_identical flag must be true (it is a contract,
 // enforced by tests/filter/filter_differential_test.cc — the bench reports
 // it so the number next to the timing is visibly the exact-answer one), and
 // the knn_reduction column is how many exact OD evaluations the bounds made
@@ -86,10 +86,9 @@ void Run(const std::string& json_path) {
     auto workload = bench::MakeWorkload(NumPoints(), d, /*seed=*/20 + d);
     core::HosMinerConfig config;
     config.seed = 20;
-    // The VA-file backend: the filter's summary is the approximation
-    // file's own quantization, exported bit-identically. 6-bit cells keep
-    // the per-dimension resolution ahead of the band widths at this n.
-    config.index = core::IndexKind::kVaFile;
+    // The default X-tree backend. 6-bit summary cells keep the
+    // per-dimension resolution ahead of the band widths at this n.
+    config.index = core::IndexKind::kXTree;
     config.va_file.bits_per_dim = kBitsPerDim;
     auto miner = core::HosMiner::Build(std::move(workload.dataset), config);
     if (!miner.ok()) {
@@ -143,7 +142,7 @@ void Run(const std::string& json_path) {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"filter\",\n  %s,\n  \"smoke\": %s,\n"
-               "  \"num_points\": %zu,\n"
+               "  \"backend\": \"xtree\",\n  \"num_points\": %zu,\n"
                "  \"bits_per_dim\": %d,\n  \"modes\": [\n",
                bench::ProvenanceJsonFields().c_str(),
                bench::SmokeMode() ? "true" : "false", NumPoints(),

@@ -13,9 +13,8 @@ namespace hos::core {
 namespace {
 
 /// Rows per fused screening block. Bounds the batch state of the backends
-/// (the VA-file batch keeps O(block · base) lower bounds, the X-tree batch
-/// carries per-point min-distances on every queue entry) while still
-/// amortising one traversal/sweep over a full kernel query tile
+/// (the X-tree batch carries per-point min-distances on every queue entry)
+/// while still amortising one traversal/sweep over a full kernel query tile
 /// (kernels::kQueryBlock = 8) twice over.
 constexpr size_t kScreenBlock = 16;
 
@@ -514,34 +513,20 @@ Result<HosMiner::RebuildArtifacts> HosMiner::PrepareRebuild() const {
     artifacts.xtree =
         std::make_unique<index::XTree>(std::move(built).value());
     artifacts.engine = std::make_unique<index::XTreeKnn>(*artifacts.xtree);
-  } else if (config_.index == IndexKind::kVaFile) {
-    auto built = index::VaFile::Build(*dataset_, config_.metric,
-                                      config_.va_file, artifacts.view);
-    if (!built.ok()) return built.status();
-    artifacts.va_file =
-        std::make_unique<index::VaFile>(std::move(built).value());
-    artifacts.engine =
-        std::make_unique<index::VaFileKnn>(*artifacts.va_file);
   } else {
     artifacts.engine = std::make_unique<knn::LinearScanKnn>(
         *dataset_, config_.metric, artifacts.view);
   }
-  // The pre-filter rides every rebuild: a VA-file index re-exports its own
-  // approximation file (no second quantization pass), every other backend
-  // quantizes directly with the same cell rule.
+  // The pre-filter rides every rebuild, quantized over the same rows.
   artifacts.filter = std::make_unique<filter::DensityBoundFilter>(
       *dataset_, config_.metric,
-      artifacts.va_file != nullptr
-          ? artifacts.va_file->ExportDensitySummary()
-          : filter::DensitySummary::Build(*dataset_,
-                                          config_.va_file.bits_per_dim));
+      filter::DensitySummary::Build(*dataset_, config_.va_file.bits_per_dim));
   return artifacts;
 }
 
 void HosMiner::CommitRebuild(RebuildArtifacts artifacts) {
   soa_view_ = std::move(artifacts.view);
   xtree_ = std::move(artifacts.xtree);
-  va_file_ = std::move(artifacts.va_file);
   engine_ = std::move(artifacts.engine);
   density_filter_ = std::move(artifacts.filter);
   // Rows appended or tombstoned between the prepare and this commit are

@@ -23,7 +23,6 @@
 #include "src/data/dataset.h"
 #include "src/data/normalizer.h"
 #include "src/filter/density_filter.h"
-#include "src/index/va_file.h"
 #include "src/index/xtree.h"
 #include "src/kernels/dataset_view.h"
 #include "src/knn/knn_engine.h"
@@ -35,12 +34,11 @@
 
 namespace hos::core {
 
-/// Which kNN backend serves the OD computations. All three are exact; they
-/// differ only in cost.
+/// Which kNN backend serves the OD computations. Both are exact and
+/// bitwise-identical; they differ only in cost.
 enum class IndexKind {
   kXTree,       ///< the paper's indexing module
-  kVaFile,      ///< vector-approximation file (Weber et al., VLDB'98)
-  kLinearScan,  ///< brute force; O(n) per query
+  kLinearScan,  ///< brute force; O(n) per query, and the exactness oracle
 };
 
 struct HosMinerConfig {
@@ -56,7 +54,10 @@ struct HosMinerConfig {
   data::NormalizationKind normalization = data::NormalizationKind::kMinMax;
   IndexKind index = IndexKind::kXTree;
   index::XTreeConfig xtree;
-  index::VaFileConfig va_file;
+  /// Grid resolution of the density-bound pre-filter's summary (see
+  /// filter::DensitySummary) — the VA-file's cell approximation, hence
+  /// the name.
+  filter::DensityGridConfig va_file;
   /// Bulk-load the X-tree (fast) instead of repeated insertion.
   bool bulk_load = true;
   /// Sample size S of the learning process; 0 disables learning and uses
@@ -354,11 +355,9 @@ class HosMiner {
   struct RebuildArtifacts {
     std::shared_ptr<const kernels::DatasetView> view;
     std::unique_ptr<index::XTree> xtree;
-    std::unique_ptr<index::VaFile> va_file;
     std::unique_ptr<knn::KnnEngine> engine;
-    /// Density-bound pre-filter over the same rows (exported from the
-    /// VA-file when that is the serving index, quantized directly
-    /// otherwise).
+    /// Density-bound pre-filter over the same rows, quantized with
+    /// config().va_file's grid.
     std::unique_ptr<filter::DensityBoundFilter> filter;
     /// Rows and version the artifacts cover (rows appended after
     /// PrepareRebuild simply stay in the delta after the commit).
@@ -400,8 +399,6 @@ class HosMiner {
   }
   /// Non-null when config().index == kXTree.
   const index::XTree* xtree() const { return xtree_.get(); }
-  /// Non-null when config().index == kVaFile.
-  const index::VaFile* va_file() const { return va_file_.get(); }
   /// The density-bound pre-filter over the current base (always built; it
   /// only acts when a query opts in via QueryOptions::filter_mode).
   const filter::DensityBoundFilter* density_filter() const {
@@ -431,7 +428,6 @@ class HosMiner {
   std::shared_ptr<const kernels::DatasetView> soa_view_;
   data::Normalizer normalizer_;
   std::unique_ptr<index::XTree> xtree_;      // when index == kXTree
-  std::unique_ptr<index::VaFile> va_file_;   // when index == kVaFile
   std::unique_ptr<knn::KnnEngine> engine_;
   std::unique_ptr<filter::DensityBoundFilter> density_filter_;
   double threshold_ = 0.0;

@@ -53,6 +53,7 @@ Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
   std::vector<std::vector<double>> rows;
   size_t line_no = 0;
   int num_dims = -1;
+  bool header_pending = options.has_header;
 
   while (std::getline(in, line)) {
     if (line.empty() || line == "\r") {
@@ -60,7 +61,8 @@ Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
       continue;
     }
     auto fields = SplitLine(line, options.delimiter);
-    if (line_no == 0 && options.has_header) {
+    if (header_pending) {
+      header_pending = false;
       header = std::move(fields);
       num_dims = static_cast<int>(header.size());
       ++line_no;
@@ -115,6 +117,8 @@ std::string ToCsv(const Dataset& dataset, const CsvOptions& options) {
     out << '\n';
   }
   for (PointId i = 0; i < dataset.size(); ++i) {
+    // Tombstoned rows are skipped (their chunk may already be freed).
+    if (!dataset.IsLive(i)) continue;
     auto row = dataset.Row(i);
     for (size_t j = 0; j < row.size(); ++j) {
       if (j > 0) out << options.delimiter;

@@ -13,7 +13,7 @@ namespace hos::data {
 
 struct CsvOptions {
   char delimiter = ',';
-  /// When true the first row is treated as column names.
+  /// When true the first non-empty line is treated as column names.
   bool has_header = true;
 };
 
@@ -27,10 +27,13 @@ Result<Dataset> ParseCsv(const std::string& text,
 Result<Dataset> ReadCsvFile(const std::string& path,
                             const CsvOptions& options = {});
 
-/// Serialises a Dataset as CSV text (header included when has_header).
+/// Serialises a Dataset's live rows as CSV text (header included when
+/// has_header). Tombstoned rows are omitted, so ids are renumbered: the
+/// i-th written row is the i-th live row, and parsing the text back gives
+/// it id i.
 std::string ToCsv(const Dataset& dataset, const CsvOptions& options = {});
 
-/// Writes a Dataset to a CSV file.
+/// Writes a Dataset's live rows to a CSV file (see ToCsv).
 Status WriteCsvFile(const Dataset& dataset, const std::string& path,
                     const CsvOptions& options = {});
 

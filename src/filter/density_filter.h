@@ -10,8 +10,8 @@
 //  * Per-candidate cell bounds. For every covered candidate row c, the
 //    summary's cells give, per dimension of s, the interval the coordinate
 //    lies in; `gap` (distance from p to the interval) and `reach` (distance
-//    to its far corner) accumulate across s's dimensions exactly as in the
-//    VA-file's approximation phase, yielding
+//    to its far corner) accumulate across s's dimensions (the
+//    approximation phase of Weber et al.'s VA-file, VLDB'98), yielding
 //    lower(c) <= dist(p, c) <= reach(c).
 //  * Order-statistic argument. If l(1) <= l(2) <= ... are the sorted
 //    per-candidate lower bounds and e(1) <= e(2) <= ... the sorted exact

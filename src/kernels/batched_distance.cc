@@ -107,20 +107,21 @@ void DistanceBlock(const DatasetView& view, const double* query,
   for (size_t j = 0; j < m; ++j) out[j] = Finalize<kMetric>(acc[j]);
 }
 
-/// Top-k selection block: like DistanceBlock, but candidates are offered to
-/// `collector` directly and all screening happens in accumulation space
-/// (squared distances for L2), so the per-candidate square root is paid only
-/// for candidates that might be admitted. Offers run in lane order — the
-/// scalar scan's admission sequence.
-template <knn::MetricKind kMetric, bool kContiguous>
+/// Top-k selection block over the contiguous candidates [first, first + m):
+/// like DistanceBlock, but candidates are offered to `collector` directly
+/// and all screening happens in accumulation space (squared distances for
+/// L2), so the per-candidate square root is paid only for candidates that
+/// might be admitted. Offers run in lane order — the scalar scan's
+/// admission sequence.
+template <knn::MetricKind kMetric>
 void TopKBlock(const DatasetView& view, const double* query,
-               std::span<const int> dims, const data::PointId* ids,
-               data::PointId first, size_t m, TopKCollector* collector) {
+               std::span<const int> dims, data::PointId first, size_t m,
+               TopKCollector* collector) {
   const double bound = collector->bound();
   const double bound_acc = SelectionBound<kMetric>(bound);
   double acc[kDistanceBlock];
-  if (!AccumulateBlock<kMetric, kContiguous>(view, query, dims, ids, first,
-                                             m, bound_acc, acc)) {
+  if (!AccumulateBlock<kMetric, true>(view, query, dims, nullptr, first, m,
+                                      bound_acc, acc)) {
     return;  // whole block provably beyond the k-th neighbour
   }
   double closest = acc[0];
@@ -132,9 +133,7 @@ void TopKBlock(const DatasetView& view, const double* query,
       // dist > bound can never be admitted (stale bounds only loosen this);
       // dist == bound may still win its id tie-break inside Offer.
       if (dist <= bound) {
-        collector->Offer(kContiguous ? first + static_cast<data::PointId>(j)
-                                     : ids[j],
-                         dist);
+        collector->Offer(first + static_cast<data::PointId>(j), dist);
       }
     }
   }
@@ -246,23 +245,19 @@ void MultiTopKDispatch(const DatasetView& view,
   }
 }
 
-template <bool kContiguous>
 void TopKDispatch(const DatasetView& view, const double* query,
                   std::span<const int> dims, knn::MetricKind metric,
-                  const data::PointId* ids, data::PointId first, size_t m,
-                  TopKCollector* collector) {
+                  data::PointId first, size_t m, TopKCollector* collector) {
   switch (metric) {
     case knn::MetricKind::kL1:
-      TopKBlock<knn::MetricKind::kL1, kContiguous>(view, query, dims, ids,
-                                                   first, m, collector);
+      TopKBlock<knn::MetricKind::kL1>(view, query, dims, first, m, collector);
       return;
     case knn::MetricKind::kL2:
-      TopKBlock<knn::MetricKind::kL2, kContiguous>(view, query, dims, ids,
-                                                   first, m, collector);
+      TopKBlock<knn::MetricKind::kL2>(view, query, dims, first, m, collector);
       return;
     case knn::MetricKind::kLInf:
-      TopKBlock<knn::MetricKind::kLInf, kContiguous>(view, query, dims, ids,
-                                                     first, m, collector);
+      TopKBlock<knn::MetricKind::kLInf>(view, query, dims, first, m,
+                                        collector);
       return;
   }
 }
@@ -359,8 +354,8 @@ uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
   auto scan_segment = [&](size_t lo, size_t hi) {
     for (size_t start = lo; start < hi; start += kDistanceBlock) {
       const size_t m = std::min(kDistanceBlock, hi - start);
-      TopKDispatch<true>(view, query.data(), dims, metric, nullptr,
-                         static_cast<data::PointId>(start), m, collector);
+      TopKDispatch(view, query.data(), dims, metric,
+                   static_cast<data::PointId>(start), m, collector);
       examined += m;
     }
   };
@@ -373,19 +368,6 @@ uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
     scan_segment(0, n);
   }
   return examined;
-}
-
-uint64_t ScanIdsForTopK(const DatasetView& view, std::span<const double> query,
-                        const Subspace& subspace, knn::MetricKind metric,
-                        std::span<const data::PointId> ids,
-                        TopKCollector* collector) {
-  const std::vector<int> dims = subspace.Dims();
-  for (size_t start = 0; start < ids.size(); start += kDistanceBlock) {
-    const size_t m = std::min(kDistanceBlock, ids.size() - start);
-    TopKDispatch<false>(view, query.data(), dims, metric, ids.data() + start,
-                        0, m, collector);
-  }
-  return ids.size();
 }
 
 uint64_t ScanAllForTopKMulti(const DatasetView& view,

@@ -1,6 +1,5 @@
 // BatchedSubspaceDistance: the vectorized subspace-masked distance kernel
-// shared by every kNN backend (knn/linear_scan, index/idistance,
-// index/va_file, index/xtree).
+// shared by both kNN backends (knn/linear_scan, index/xtree).
 //
 // Loop order: distances from one query point to a block of candidates are
 // computed dimension-outer / candidate-inner over the column-major
@@ -22,10 +21,10 @@
 // implies fl(sqrt(acc)) > b *strictly*: a pruned candidate can neither beat
 // the bound nor tie it, while every possible tie survives screening.
 //
-// The top-k scan entry points (ScanAllForTopK / ScanIdsForTopK) screen each
-// surviving candidate the same way, so only the rare near-bound candidates
-// pay a square root; their admission then uses the exact fl(sqrt(acc)) —
-// bit-identical to the scalar path's comparisons.
+// The top-k scan entry points (ScanAllForTopK and the *Multi forms) screen
+// each surviving candidate the same way, so only the rare near-bound
+// candidates pay a square root; their admission then uses the exact
+// fl(sqrt(acc)) — bit-identical to the scalar path's comparisons.
 //
 // Caveat: kPrunedDistance is +infinity, so a candidate whose *true* distance
 // is infinite (infinite coordinates) is indistinguishable from a pruned one.
@@ -170,12 +169,6 @@ uint64_t ScanAllForTopK(const DatasetView& view, std::span<const double> query,
                         std::optional<data::PointId> exclude,
                         TopKCollector* collector);
 
-/// Top-k over an explicit candidate list, offered in list order.
-uint64_t ScanIdsForTopK(const DatasetView& view, std::span<const double> query,
-                        const Subspace& subspace, knn::MetricKind metric,
-                        std::span<const data::PointId> ids,
-                        TopKCollector* collector);
-
 /// Query-points per fused scan block (the query-point-inner-inner unroll of
 /// the multi-point kernel below): kQueryBlock accumulator rows of
 /// kDistanceBlock doubles fit comfortably in L1 alongside one column block.
@@ -205,7 +198,7 @@ uint64_t ScanAllForTopKMulti(const DatasetView& view,
                              const Subspace& subspace, knn::MetricKind metric);
 
 /// Fused top-k over an explicit candidate list for B query points (the
-/// shared-traversal index backends' refinement step). Each point's excluded
+/// X-tree's shared-traversal refinement step). Each point's excluded
 /// id is skipped at offer time; `ids` need not be pre-filtered per point.
 uint64_t ScanIdsForTopKMulti(const DatasetView& view,
                              std::span<const MultiPointQuery> queries,

@@ -18,8 +18,7 @@
 //  * any row *overwritten in place* (Dataset::Set) since the snapshot — the
 //    base itself is suspect and the view must not serve at all; callers
 //    fall back to their scalar paths (and, as before the versioned-ingest
-//    refactor, the index structures themselves — X-tree MBRs, VA-file
-//    approximations, iDistance keys — are silently stale under Set, so a
+//    refactor, the X-tree's MBRs are silently stale under Set, so a
 //    dataset must not be overwritten while engines built over it are in
 //    use; engines log this fallback when they detect it).
 

@@ -51,14 +51,14 @@ uint64_t DeltaScanRange(const data::Dataset& dataset, MetricKind metric,
 /// SoA base itself is unusable (an in-place Dataset::Set since the
 /// snapshot), not for the normal append-delta path. Bumps the engine's
 /// fallback counter and logs a warning the first time an engine takes it,
-/// because for the index-backed engines a mutated base also means silently
-/// stale index geometry (MBRs / cell bounds / keys).
+/// because for the X-tree a mutated base also means silently stale index
+/// geometry (its MBRs).
 void NoteStaleFallback(RelaxedCounter* fallbacks, const char* engine_name);
 
-/// The index backends' shared kernel gate: returns the snapshot when it is
-/// a valid base (no overwrite since it was taken) covering at least the
-/// `base_rows` the structure holds, else null — counting and logging the
-/// fallback (NoteStaleFallback) when a snapshot is attached but unusable.
+/// The X-tree's kernel gate: returns the snapshot when it is a valid base
+/// (no overwrite since it was taken) covering at least the `base_rows` the
+/// structure holds, else null — counting and logging the fallback
+/// (NoteStaleFallback) when a snapshot is attached but unusable.
 const kernels::DatasetView* GateKernelView(
     const std::shared_ptr<const kernels::DatasetView>& view,
     const data::Dataset& dataset, size_t base_rows, RelaxedCounter* fallbacks,

@@ -55,10 +55,10 @@ struct BatchPointQuery {
 /// replaced, e.g. by an ingest rebuild — the serving layer folds the old
 /// engine's totals so exported series stay monotone across swaps).
 struct KnnBackendStats {
-  /// Implementation name: "linear_scan", "xtree", "va_file", "idistance".
+  /// Implementation name: "linear_scan" or "xtree".
   std::string backend;
   uint64_t distance_computations = 0;
-  /// Index nodes / pages / partitions touched (0 for scan backends).
+  /// X-tree nodes touched (0 for the linear scan).
   uint64_t node_accesses = 0;
   /// Scans answered through the batched SIMD kernel over the SoA base.
   uint64_t kernel_scans = 0;

@@ -177,8 +177,7 @@ TEST(StreamingMinerTest, RebuildKeepsThresholdAndAnswers) {
 }
 
 TEST(StreamingMinerTest, RebuildWorksForEveryIndexKind) {
-  for (IndexKind index : {IndexKind::kLinearScan, IndexKind::kXTree,
-                          IndexKind::kVaFile}) {
+  for (IndexKind index : {IndexKind::kLinearScan, IndexKind::kXTree}) {
     SCOPED_TRACE(static_cast<int>(index));
     Rng rng(7);
     data::Dataset dataset = data::GenerateUniform(80, kDims, &rng);

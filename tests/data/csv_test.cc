@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 namespace hos::data {
 namespace {
@@ -104,6 +105,37 @@ TEST(CsvTest, RoundTripThroughText) {
     for (int j = 0; j < ds.num_dims(); ++j) {
       EXPECT_DOUBLE_EQ(parsed->At(i, j), ds.At(i, j));
     }
+  }
+}
+
+TEST(CsvTest, HeaderIsFirstNonEmptyLine) {
+  // Blank lines before the header must not demote it to a data row.
+  auto result = ParseCsv("\n\r\nx,y\n1,2\n");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->column_names(), (std::vector<std::string>{"x", "y"}));
+  ASSERT_EQ(result->size(), 1u);
+  EXPECT_DOUBLE_EQ(result->At(0, 1), 2.0);
+}
+
+TEST(CsvTest, ToCsvSkipsDeadRowsIncludingReclaimedChunks) {
+  // 600 rows span three storage chunks; deleting the first 512 and
+  // sealing lets the first two chunks be freed. Export must write only
+  // the 88 survivors (renumbered 0..87) and never read a freed row.
+  Dataset ds(2);
+  for (size_t i = 0; i < 600; ++i) {
+    ds.Append(std::vector<double>{static_cast<double>(i), 0.5});
+  }
+  std::vector<PointId> dead;
+  for (PointId i = 0; i < 512; ++i) dead.push_back(i);
+  ASSERT_TRUE(ds.DeleteRows(dead).ok());
+  ds.SealBase();
+  ASSERT_EQ(ds.ReclaimDeadChunks(), 2u);
+
+  auto parsed = ParseCsv(ToCsv(ds));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), 88u);
+  for (PointId i = 0; i < parsed->size(); ++i) {
+    EXPECT_DOUBLE_EQ(parsed->At(i, 0), static_cast<double>(512 + i));
   }
 }
 

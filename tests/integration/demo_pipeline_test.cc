@@ -89,29 +89,23 @@ TEST_P(DemoPipelineTest, ScreenDetailExplainExport) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, DemoPipelineTest,
                          ::testing::Values(core::IndexKind::kXTree,
-                                           core::IndexKind::kVaFile,
                                            core::IndexKind::kLinearScan),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case core::IndexKind::kXTree:
-                               return "XTree";
-                             case core::IndexKind::kVaFile:
-                               return "VaFile";
-                             default:
-                               return "LinearScan";
-                           }
+                           return info.param == core::IndexKind::kXTree
+                                      ? "XTree"
+                                      : "LinearScan";
                          });
 
 TEST(DemoPipelineTest, BackendsProduceIdenticalScreenSets) {
   auto a = BuildPipeline(core::IndexKind::kXTree, 9);
-  auto b = BuildPipeline(core::IndexKind::kVaFile, 9);
+  auto b = BuildPipeline(core::IndexKind::kLinearScan, 9);
   ASSERT_TRUE(a.ok() && b.ok());
   auto fa = a->miner.ScreenOutliers();
   auto fb = b->miner.ScreenOutliers();
   ASSERT_EQ(fa.size(), fb.size());
   for (size_t i = 0; i < fa.size(); ++i) {
     EXPECT_EQ(fa[i].id, fb[i].id);
-    EXPECT_NEAR(fa[i].full_space_od, fb[i].full_space_od, 1e-9);
+    EXPECT_EQ(fa[i].full_space_od, fb[i].full_space_od);  // bitwise
   }
 }
 

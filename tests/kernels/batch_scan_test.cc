@@ -2,8 +2,8 @@
 // (ScanAllForTopKMulti / ScanIdsForTopKMulti): for randomized datasets,
 // metrics, subspaces, k values and batch sizes straddling kQueryBlock, each
 // query point's collector must finish with exactly — bitwise, not
-// approximately — the content its sequential ScanAllForTopK /
-// ScanIdsForTopK run produces. This is the ground layer of the fused
+// approximately — the content its sequential ScanAllForTopK run (or, for
+// an explicit candidate list, a scalar SubspaceDistance loop) produces. This is the ground layer of the fused
 // multi-query execution stack: every backend batch path and the
 // co-scheduled lattice search rest on this identity.
 
@@ -129,15 +129,16 @@ TEST(BatchScanTest, ScanIdsMultiMatchesSequentialBitwise) {
       ScanIdsForTopKMulti(view, queries, subspace, metric, ids);
 
       for (size_t b = 0; b < batch; ++b) {
-        // The sequential entry point has no exclude parameter — its callers
-        // pre-filter the candidate list, so the reference does too.
-        std::vector<data::PointId> filtered;
-        for (data::PointId candidate : ids) {
-          if (candidate != query_ids[b]) filtered.push_back(candidate);
-        }
+        // Scalar reference: every listed candidate but the query's own id,
+        // offered in list order with its metric-path distance.
         TopKCollector reference(static_cast<size_t>(k));
-        ScanIdsForTopK(view, ds.Row(query_ids[b]), subspace, metric, filtered,
-                       &reference);
+        for (data::PointId candidate : ids) {
+          if (candidate == query_ids[b]) continue;
+          reference.Offer(candidate,
+                          knn::SubspaceDistance(ds.Row(query_ids[b]),
+                                                ds.Row(candidate), subspace,
+                                                metric));
+        }
         EXPECT_EQ(fused[b].TakeSorted(), reference.TakeSorted())
             << "query " << b;
       }
