@@ -84,7 +84,7 @@ Result<HosMiner> HosMiner::Build(data::Dataset dataset,
 
   HosMiner miner(std::move(config), std::move(owned), std::move(normalizer));
 
-  // 2+3. SoA snapshot + index (paper module 1): exactly a rebuild's
+  // 2+3. Index + its SoA snapshot (paper module 1): exactly a rebuild's
   //      prepare/commit over the freshly normalised rows, so initial
   //      construction and every later streaming rebuild share one engine
   //      stack (the commit also seals the rows as the immutable base).
@@ -499,23 +499,21 @@ Result<HosMiner::RebuildArtifacts> HosMiner::PrepareRebuild() const {
   // below; the commit records them as sealed so churn_fraction() resets.
   artifacts.folded_tombstones =
       artifacts.rows - dataset_->CountLiveBefore(artifacts.rows);
-  artifacts.view = std::make_shared<const kernels::DatasetView>(
-      kernels::DatasetView::Build(*dataset_));
+  // Each backend takes its own SoA snapshot: the X-tree a leaf-ordered
+  // one, the linear scan a dataset-order one.
   if (config_.index == IndexKind::kXTree) {
     auto built = config_.bulk_load
                      ? index::XTree::BulkLoad(*dataset_, config_.metric,
-                                              config_.xtree, artifacts.view)
-                     : index::XTree::BuildByInsertion(*dataset_,
-                                                      config_.metric,
-                                                      config_.xtree,
-                                                      artifacts.view);
+                                              config_.xtree)
+                     : index::XTree::BuildByInsertion(
+                           *dataset_, config_.metric, config_.xtree);
     if (!built.ok()) return built.status();
     artifacts.xtree =
         std::make_unique<index::XTree>(std::move(built).value());
     artifacts.engine = std::make_unique<index::XTreeKnn>(*artifacts.xtree);
   } else {
-    artifacts.engine = std::make_unique<knn::LinearScanKnn>(
-        *dataset_, config_.metric, artifacts.view);
+    artifacts.engine =
+        std::make_unique<knn::LinearScanKnn>(*dataset_, config_.metric);
   }
   // The pre-filter rides every rebuild, quantized over the same rows.
   artifacts.filter = std::make_unique<filter::DensityBoundFilter>(
@@ -525,7 +523,6 @@ Result<HosMiner::RebuildArtifacts> HosMiner::PrepareRebuild() const {
 }
 
 void HosMiner::CommitRebuild(RebuildArtifacts artifacts) {
-  soa_view_ = std::move(artifacts.view);
   xtree_ = std::move(artifacts.xtree);
   engine_ = std::move(artifacts.engine);
   density_filter_ = std::move(artifacts.filter);

@@ -24,7 +24,6 @@
 #include "src/data/normalizer.h"
 #include "src/filter/density_filter.h"
 #include "src/index/xtree.h"
-#include "src/kernels/dataset_view.h"
 #include "src/knn/knn_engine.h"
 #include "src/knn/linear_scan.h"
 #include "src/learning/learner.h"
@@ -353,7 +352,6 @@ class HosMiner {
   /// touching the served state so queries can continue meanwhile; swapped
   /// in by CommitRebuild in O(1).
   struct RebuildArtifacts {
-    std::shared_ptr<const kernels::DatasetView> view;
     std::unique_ptr<index::XTree> xtree;
     std::unique_ptr<knn::KnnEngine> engine;
     /// Density-bound pre-filter over the same rows, quantized with
@@ -369,8 +367,8 @@ class HosMiner {
     uint64_t folded_tombstones = 0;
   };
 
-  /// Builds a fresh SoA snapshot and index over all current rows. Heavy
-  /// (O(n·d) plus the index bulk load); read-only.
+  /// Builds a fresh kNN backend over all current rows: the index with its
+  /// own SoA snapshot. Heavy (O(n·d) plus the index bulk load); read-only.
   Result<RebuildArtifacts> PrepareRebuild() const;
 
   /// Installs prepared artifacts and re-seals the dataset base. Cheap —
@@ -386,10 +384,6 @@ class HosMiner {
   const HosMinerConfig& config() const { return config_; }
   /// The normalised dataset the system operates on.
   const data::Dataset& dataset() const { return *dataset_; }
-  /// The column-major SoA snapshot of dataset() that the batched distance
-  /// kernel sweeps; built once at Build and shared by the kNN backend (and
-  /// so by every QueryService worker serving this miner snapshot).
-  const kernels::DatasetView& soa_view() const { return *soa_view_; }
   const knn::KnnEngine& engine() const { return *engine_; }
   const learning::LearningReport& learning_report() const {
     return learning_report_;
@@ -425,7 +419,6 @@ class HosMiner {
 
   HosMinerConfig config_;
   std::unique_ptr<data::Dataset> dataset_;  // normalised copy
-  std::shared_ptr<const kernels::DatasetView> soa_view_;
   data::Normalizer normalizer_;
   std::unique_ptr<index::XTree> xtree_;      // when index == kXTree
   std::unique_ptr<knn::KnnEngine> engine_;

@@ -24,7 +24,16 @@ struct XTree::Node {
   int supernode_factor = 1;
   Mbr mbr;
   std::vector<std::unique_ptr<Node>> children;  // directory entries
+  /// Directory nodes: the children's boxes, dimension-major — child c spans
+  /// [child_lo[dim * children.size() + c], child_hi[...]] — so a query
+  /// expands the node with one kernels::BoxMinDistances sweep instead of
+  /// chasing every child's pointer. Kept in step by SyncChildBoxes.
+  std::vector<double> child_lo;
+  std::vector<double> child_hi;
   std::vector<data::PointId> points;            // leaf entries
+  /// Leaves: position of points[0] in the leaf-ordered snapshot; points[j]
+  /// sits at snapshot_offset + j. Meaningful while the tree holds one.
+  size_t snapshot_offset = 0;
 
   size_t NumEntries() const {
     return is_leaf ? points.size() : children.size();
@@ -232,6 +241,7 @@ Status XTree::Insert(data::PointId id) {
     new_root->mbr.Expand(sibling->mbr);
     new_root->children.push_back(std::move(root_));
     new_root->children.push_back(std::move(sibling));
+    SyncChildBoxes(new_root.get());
     root_ = std::move(new_root);
   }
   ++num_points_;
@@ -374,13 +384,17 @@ std::unique_ptr<XTree::Node> XTree::InsertRecursive(
   }
   Node* child = ChooseSubtree(node, point);
   auto sibling = InsertRecursive(child, id, point);
+  std::unique_ptr<Node> split;
   if (sibling != nullptr) {
     node->children.push_back(std::move(sibling));
     if (static_cast<int>(node->children.size()) > Capacity(*node)) {
-      return SplitDirectory(node);
+      split = SplitDirectory(node);
     }
   }
-  return nullptr;
+  // The chosen child's box grew (and a split may have regrouped the
+  // children; SplitDirectory already synced the two halves then).
+  if (split == nullptr) SyncChildBoxes(node);
+  return split;
 }
 
 void XTree::RecomputeMbr(Node* node) const {
@@ -389,8 +403,23 @@ void XTree::RecomputeMbr(Node* node) const {
     for (data::PointId id : node->points) box.Expand(dataset_->Row(id));
   } else {
     for (const auto& child : node->children) box.Expand(child->mbr);
+    SyncChildBoxes(node);
   }
   node->mbr = box;
+}
+
+void XTree::SyncChildBoxes(Node* node) {
+  const size_t count = node->children.size();
+  const int dims = node->mbr.num_dims();
+  node->child_lo.resize(count * static_cast<size_t>(dims));
+  node->child_hi.resize(count * static_cast<size_t>(dims));
+  for (size_t c = 0; c < count; ++c) {
+    const Mbr& box = node->children[c]->mbr;
+    for (int dim = 0; dim < dims; ++dim) {
+      node->child_lo[static_cast<size_t>(dim) * count + c] = box.min(dim);
+      node->child_hi[static_cast<size_t>(dim) * count + c] = box.max(dim);
+    }
+  }
 }
 
 std::unique_ptr<XTree::Node> XTree::SplitLeaf(Node* leaf) {
@@ -461,12 +490,25 @@ std::unique_ptr<XTree::Node> XTree::SplitDirectory(Node* node) {
 }
 
 void XTree::RefreshKernelView() {
+  // Leaves in depth-first order: siblings, which best-first search tends
+  // to visit together, sit next to each other in the snapshot.
+  std::vector<data::PointId> order;
+  order.reserve(num_points_);
+  std::function<void(Node*)> visit = [&](Node* node) {
+    if (node->is_leaf) {
+      node->snapshot_offset = order.size();
+      order.insert(order.end(), node->points.begin(), node->points.end());
+      return;
+    }
+    for (const auto& child : node->children) visit(child.get());
+  };
+  if (root_ != nullptr) visit(root_.get());
   view_ = std::make_shared<const kernels::DatasetView>(
-      kernels::DatasetView::Build(*dataset_));
+      kernels::DatasetView::BuildInOrder(*dataset_, order, base_rows_));
 }
 
-Status XTree::Rebuild(std::shared_ptr<const kernels::DatasetView> view) {
-  auto built = BulkLoad(*dataset_, metric_, config_, std::move(view));
+Status XTree::Rebuild() {
+  auto built = BulkLoad(*dataset_, metric_, config_);
   if (!built.ok()) return built.status();
   // Preserve the monotonic query tallies across the swap so monitoring
   // deltas computed around a rebuild stay meaningful.
@@ -486,19 +528,15 @@ Status XTree::Rebuild(std::shared_ptr<const kernels::DatasetView> view) {
   return Status::OK();
 }
 
-Result<XTree> XTree::BuildByInsertion(
-    const data::Dataset& dataset, knn::MetricKind metric, XTreeConfig config,
-    std::shared_ptr<const kernels::DatasetView> view) {
+Result<XTree> XTree::BuildByInsertion(const data::Dataset& dataset,
+                                      knn::MetricKind metric,
+                                      XTreeConfig config) {
   XTree tree(dataset, metric, config);
   for (data::PointId id = 0; id < dataset.size(); ++id) {
     if (!dataset.IsLive(id)) continue;  // tombstones fold out at build
     HOS_RETURN_IF_ERROR(tree.Insert(id));
   }
-  if (view != nullptr) {
-    tree.view_ = std::move(view);
-  } else {
-    tree.RefreshKernelView();
-  }
+  tree.RefreshKernelView();
   return tree;
 }
 
@@ -546,15 +584,10 @@ void StrTile(std::vector<size_t> ids, int dim, int num_dims, size_t cap,
 
 }  // namespace
 
-Result<XTree> XTree::BulkLoad(const data::Dataset& dataset,
-                              knn::MetricKind metric, XTreeConfig config,
-                              std::shared_ptr<const kernels::DatasetView> view) {
+Result<XTree> XTree::BulkLoad(
+    const data::Dataset& dataset, knn::MetricKind metric, XTreeConfig config,
+    std::shared_ptr<const kernels::DatasetView> /*view*/) {
   XTree tree(dataset, metric, config);
-  if (view != nullptr) {
-    tree.view_ = std::move(view);
-  } else {
-    tree.RefreshKernelView();
-  }
   const size_t n = dataset.size();
   const int dims = dataset.num_dims();
   const size_t cap = std::max<size_t>(
@@ -567,7 +600,10 @@ Result<XTree> XTree::BulkLoad(const data::Dataset& dataset,
     if (dataset.IsLive(static_cast<data::PointId>(i))) ids.push_back(i);
   }
   tree.num_points_ = ids.size();
-  if (ids.empty()) return tree;
+  if (ids.empty()) {
+    tree.RefreshKernelView();
+    return tree;
+  }
   std::vector<std::vector<size_t>> tiles;
   StrTile(std::move(ids), 0, dims, cap,
           [&](size_t id, int dim) {
@@ -610,6 +646,7 @@ Result<XTree> XTree::BulkLoad(const data::Dataset& dataset,
     level = std::move(parents);
   }
   tree.root_ = std::move(level.front());
+  tree.RefreshKernelView();
   return tree;
 }
 
@@ -687,8 +724,8 @@ std::vector<knn::Neighbor> XTree::KnnBase(const knn::KnnQuery& query) const {
   const bool filter_dead = dataset_->num_tombstones() > 0;
   const std::vector<int> dims = query.subspace.Dims();
   kernels::TopKCollector seen(static_cast<size_t>(query.k));
-  std::vector<data::PointId> leaf_ids;
   double leaf_dist[kernels::kDistanceBlock];
+  std::vector<double> child_dist;
 
   while (!heap.empty()) {
     QueueItem item = heap.top();
@@ -702,27 +739,35 @@ std::vector<knn::Neighbor> XTree::KnnBase(const knn::KnnQuery& query) const {
     ++node_access_count_;
     if (node->is_leaf) {
       if (view != nullptr) {
-        leaf_ids.clear();
-        for (data::PointId id : node->points) {
-          if (query.exclude && *query.exclude == id) continue;
-          leaf_ids.push_back(id);
-        }
-        for (size_t start = 0; start < leaf_ids.size();
-             start += kernels::kDistanceBlock) {
-          const size_t m =
-              std::min(kernels::kDistanceBlock, leaf_ids.size() - start);
-          const std::span<const data::PointId> block(&leaf_ids[start], m);
-          kernels::BatchedSubspaceDistance(*view, query.point, dims, metric_,
-                                           block, seen.bound(),
-                                           {leaf_dist, m});
-          distance_count_ += m;
-          for (size_t j = 0; j < m; ++j) {
-            if (leaf_dist[j] == kernels::kPrunedDistance) continue;
-            if (filter_dead && !dataset_->IsLive(block[j])) continue;
-            heap.push({leaf_dist[j], true, block[j], nullptr});
-            seen.Offer(block[j], leaf_dist[j]);
+        // The leaf's points are contiguous in the snapshot; the excluded
+        // id (at most once per leaf) splits them into two runs.
+        const std::vector<data::PointId>& pts = node->points;
+        const size_t skip =
+            query.exclude
+                ? static_cast<size_t>(
+                      std::find(pts.begin(), pts.end(), *query.exclude) -
+                      pts.begin())
+                : pts.size();
+        const auto scan_run = [&](size_t lo, size_t hi) {
+          for (size_t start = lo; start < hi;
+               start += kernels::kDistanceBlock) {
+            const size_t m = std::min(kernels::kDistanceBlock, hi - start);
+            kernels::BatchedSubspaceDistanceRange(
+                *view, query.point, dims, metric_,
+                static_cast<data::PointId>(node->snapshot_offset + start), m,
+                seen.bound(), {leaf_dist, m});
+            distance_count_ += m;
+            for (size_t j = 0; j < m; ++j) {
+              if (leaf_dist[j] == kernels::kPrunedDistance) continue;
+              const data::PointId id = pts[start + j];
+              if (filter_dead && !dataset_->IsLive(id)) continue;
+              heap.push({leaf_dist[j], true, id, nullptr});
+              seen.Offer(id, leaf_dist[j]);
+            }
           }
-        }
+        };
+        scan_run(0, skip);
+        if (skip < pts.size()) scan_run(skip + 1, pts.size());
       } else {
         for (data::PointId id : node->points) {
           if (query.exclude && *query.exclude == id) continue;
@@ -734,10 +779,13 @@ std::vector<knn::Neighbor> XTree::KnnBase(const knn::KnnQuery& query) const {
         }
       }
     } else {
-      for (const auto& child : node->children) {
-        double dist =
-            child->mbr.MinDistance(query.point, query.subspace, metric_);
-        heap.push({dist, false, 0, child.get()});
+      const size_t count = node->children.size();
+      child_dist.resize(count);
+      kernels::BoxMinDistances(node->child_lo.data(), node->child_hi.data(),
+                               count, query.point, dims, metric_,
+                               child_dist.data());
+      for (size_t c = 0; c < count; ++c) {
+        heap.push({child_dist[c], false, 0, node->children[c].get()});
       }
     }
   }
@@ -803,14 +851,15 @@ std::vector<std::vector<knn::Neighbor>> XTree::KnnBatch(
   arena_members.reserve(nb * 16);
   arena_mindist.reserve(nb * 16);
   std::priority_queue<BatchItem, std::vector<BatchItem>, BatchGreater> heap;
+  // Pushes `node` for candidates[i] at min-distance mindist[i * stride].
   const auto push_node = [&](const Node* node, const uint32_t* candidates,
-                             size_t num_candidates) {
+                             size_t num_candidates, const double* mindist,
+                             size_t stride) {
     const auto offset = static_cast<uint32_t>(arena_members.size());
     double key = std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < num_candidates; ++i) {
       const uint32_t q = candidates[i];
-      const double md =
-          node->mbr.MinDistance(points[q].point, subspace, metric_);
+      const double md = mindist[i * stride];
       // Prune at push time too: the bound can only be tighter by the time
       // the node is popped, so this discards exactly what the pop-time
       // check would.
@@ -824,11 +873,17 @@ std::vector<std::vector<knn::Neighbor>> XTree::KnnBatch(
     heap.push({key, node, offset, count});
   };
   std::vector<uint32_t> all(nb);
-  for (size_t q = 0; q < nb; ++q) all[q] = static_cast<uint32_t>(q);
-  push_node(root_.get(), all.data(), all.size());
+  std::vector<double> root_dist(nb);
+  for (size_t q = 0; q < nb; ++q) {
+    all[q] = static_cast<uint32_t>(q);
+    root_dist[q] = root_->mbr.MinDistance(points[q].point, subspace, metric_);
+  }
+  push_node(root_.get(), all.data(), all.size(), root_dist.data(), 1);
 
+  const std::vector<int> dims = subspace.Dims();
   std::vector<kernels::MultiPointQuery> active;
   std::vector<uint32_t> active_members;
+  std::vector<double> child_dist;  // [active member][child]
   while (!heap.empty()) {
     const BatchItem item = heap.top();
     heap.pop();
@@ -843,12 +898,22 @@ std::vector<std::vector<knn::Neighbor>> XTree::KnnBatch(
     }
     if (active.empty()) continue;
     ++node_access_count_;
-    if (item.node->is_leaf) {
-      distance_count_ += kernels::ScanIdsForTopKMulti(
-          *view, active, subspace, metric_, item.node->points);
+    const Node* node = item.node;
+    if (node->is_leaf) {
+      distance_count_ += kernels::ScanRangeForTopKMulti(
+          *view, active, dims, metric_,
+          static_cast<data::PointId>(node->snapshot_offset), node->points);
     } else {
-      for (const auto& child : item.node->children) {
-        push_node(child.get(), active_members.data(), active_members.size());
+      const size_t count = node->children.size();
+      child_dist.resize(active_members.size() * count);
+      for (size_t i = 0; i < active_members.size(); ++i) {
+        kernels::BoxMinDistances(node->child_lo.data(), node->child_hi.data(),
+                                 count, points[active_members[i]].point, dims,
+                                 metric_, &child_dist[i * count]);
+      }
+      for (size_t c = 0; c < count; ++c) {
+        push_node(node->children[c].get(), active_members.data(),
+                  active_members.size(), &child_dist[c], count);
       }
     }
   }
@@ -892,13 +957,18 @@ std::vector<knn::Neighbor> XTree::RangeSearch(std::span<const double> point,
   const bool filter_dead = dataset_->num_tombstones() > 0;
   const std::vector<int> dims = subspace.Dims();
   std::vector<double> leaf_dist;
+  // Children's min-distances, one segment per directory level on the
+  // recursion path (indexed, not pointed into: deeper levels may grow it).
+  std::vector<double> child_dist;
   std::function<void(const Node*)> visit = [&](const Node* node) {
     ++node_access_count_;
     if (node->is_leaf) {
       if (view != nullptr) {
         leaf_dist.resize(node->points.size());
-        kernels::BatchedSubspaceDistance(*view, point, dims, metric_,
-                                         node->points, radius, leaf_dist);
+        kernels::BatchedSubspaceDistanceRange(
+            *view, point, dims, metric_,
+            static_cast<data::PointId>(node->snapshot_offset),
+            node->points.size(), radius, leaf_dist);
         distance_count_ += node->points.size();
         for (size_t j = 0; j < node->points.size(); ++j) {
           if (leaf_dist[j] <= radius) {
@@ -916,11 +986,15 @@ std::vector<knn::Neighbor> XTree::RangeSearch(std::span<const double> point,
         if (dist <= radius) out.push_back({id, dist});
       }
     } else {
-      for (const auto& child : node->children) {
-        if (child->mbr.MinDistance(point, subspace, metric_) <= radius) {
-          visit(child.get());
-        }
+      const size_t count = node->children.size();
+      const size_t base = child_dist.size();
+      child_dist.resize(base + count);
+      kernels::BoxMinDistances(node->child_lo.data(), node->child_hi.data(),
+                               count, point, dims, metric_, &child_dist[base]);
+      for (size_t c = 0; c < count; ++c) {
+        if (child_dist[base + c] <= radius) visit(node->children[c].get());
       }
+      child_dist.resize(base);
     }
   };
   if (root_->mbr.MinDistance(point, subspace, metric_) <= radius) {
@@ -1018,6 +1092,21 @@ Status XTree::CheckInvariants() const {
       }
     } else {
       Mbr cover(dataset_->num_dims());
+      const size_t count = node->children.size();
+      if (node->child_lo.size() != count * dataset_->num_dims() ||
+          node->child_hi.size() != node->child_lo.size()) {
+        return Status::Internal("flat child boxes out of step with children");
+      }
+      for (size_t c = 0; c < count; ++c) {
+        const Node* child = node->children[c].get();
+        for (int dim = 0; dim < dataset_->num_dims(); ++dim) {
+          const size_t at = static_cast<size_t>(dim) * count + c;
+          if (node->child_lo[at] != child->mbr.min(dim) ||
+              node->child_hi[at] != child->mbr.max(dim)) {
+            return Status::Internal("flat child box differs from child MBR");
+          }
+        }
+      }
       for (const auto& child : node->children) {
         if (!node->mbr.ContainsMbr(child->mbr)) {
           return Status::Internal("parent MBR does not contain child MBR");

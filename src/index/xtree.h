@@ -9,6 +9,26 @@
 // in *any* subspace, because an MBR min-distance restricted to the
 // subspace's dimensions remains a valid lower bound.
 //
+// Query-time layout. Traversal and leaf scans read contiguous memory:
+//  * every directory node holds its children's boxes as two dimension-major
+//    arrays (lo, hi), so expanding a node computes all its children's
+//    min-distances in one kernels::BoxMinDistances sweep per query point,
+//    bitwise equal to Mbr::MinDistance (children are pushed in the same
+//    order, so heap pops and work counts match the per-Mbr loop);
+//  * the tree owns a column-major snapshot of its points with the rows
+//    permuted into leaf order (depth-first), built straight from the
+//    dataset rows at BulkLoad / BuildByInsertion / RefreshKernelView. Each
+//    leaf records its offset into it, so a leaf scan reads unit-stride
+//    columns and takes the offered ids (and the exclude / tombstone
+//    checks) from the leaf's own point list. The snapshot follows the
+//    shared staleness contract (kernels::SplitBaseDelta via
+//    knn::GateKernelView): it records the dataset version it was taken at
+//    and the row prefix the tree covered (base_rows()); appended rows are
+//    merged by the delta scan, and an in-place overwrite since the
+//    snapshot sends leaf scans to the scalar row path (counted in
+//    stale_fallbacks()). Insert and Remove drop it, and the scalar row path
+//    serves until RefreshKernelView.
+//
 // Implementation notes (documented deviations from the original papers):
 //  * Splits use the R*-tree topological split (minimum-margin axis, then
 //    minimum-overlap distribution). The X-tree's overlap-minimal split is
@@ -84,33 +104,36 @@ class XTree {
   /// shrunk when it degenerates). NotFound if the id is not in the tree.
   Status Remove(data::PointId id);
 
-  /// Builds by repeated insertion over all current dataset rows. `view`
-  /// optionally shares a prebuilt SoA snapshot for the leaf-scan kernel;
-  /// when null a private one is built.
-  static Result<XTree> BuildByInsertion(
-      const data::Dataset& dataset, knn::MetricKind metric,
-      XTreeConfig config = {},
-      std::shared_ptr<const kernels::DatasetView> view = nullptr);
+  /// Builds by repeated insertion over all current dataset rows, then takes
+  /// the leaf-ordered snapshot.
+  static Result<XTree> BuildByInsertion(const data::Dataset& dataset,
+                                        knn::MetricKind metric,
+                                        XTreeConfig config = {});
 
   /// Sort-Tile-Recursive bulk load over all current dataset rows — much
-  /// faster than repeated insertion and produces a well-packed tree.
+  /// faster than repeated insertion and produces a well-packed tree — then
+  /// takes the leaf-ordered snapshot from the rows. `view` is not used: a
+  /// dataset-order snapshot cannot serve leaf-ordered scans, and building
+  /// from the rows needs no second copy. The parameter remains so existing
+  /// callers compile.
   static Result<XTree> BulkLoad(
       const data::Dataset& dataset, knn::MetricKind metric,
       XTreeConfig config = {},
       std::shared_ptr<const kernels::DatasetView> view = nullptr);
 
-  /// Rebuilds the SoA snapshot serving the batched leaf-scan kernel.
-  /// The Build factories call this; Insert/Remove invalidate the snapshot
-  /// (queries then fall back to the scalar metric path), so call it again
-  /// after a batch of hand-driven mutations to restore the kernel path.
-  /// Not thread-safe with concurrent queries, like any tree mutation.
+  /// Re-takes the leaf-ordered snapshot serving the batched leaf-scan
+  /// kernel, over the tree's current leaves. The Build factories call
+  /// this; Insert/Remove drop the snapshot (queries then fall back to the
+  /// scalar metric path), so call it again after a batch of hand-driven
+  /// mutations to restore the kernel path. Not thread-safe with
+  /// concurrent queries, like any tree mutation.
   void RefreshKernelView();
 
-  /// Streaming-ingest rebuild: re-bulk-loads the tree over all current
-  /// dataset rows and re-snapshots the SoA view (sharing `view` when
-  /// given), folding the append delta back into the index. Query counters
-  /// survive the rebuild. Not thread-safe with concurrent queries.
-  Status Rebuild(std::shared_ptr<const kernels::DatasetView> view = nullptr);
+  /// Streaming-ingest rebuild: re-bulk-loads the tree (and its snapshot)
+  /// over all current dataset rows, folding the append delta back into the
+  /// index. Query counters survive the rebuild. Not thread-safe with
+  /// concurrent queries.
+  Status Rebuild();
 
   /// Rows covered by the tree itself; rows appended after the tree was
   /// (re)built — [base_rows(), dataset.size()) — are the delta, which Knn
@@ -188,11 +211,12 @@ class XTree {
   /// Returns nullptr when the node was turned into / grown as a supernode.
   std::unique_ptr<Node> SplitDirectory(Node* node);
   void RecomputeMbr(Node* node) const;
+  /// Rewrites a directory node's flat child boxes from its children's MBRs.
+  static void SyncChildBoxes(Node* node);
 
-  /// The SoA snapshot for leaf kernel scans, or null when it cannot serve:
-  /// no snapshot, an in-place overwrite since it was taken, or a snapshot
-  /// that does not cover every row the tree holds. Logs (once) when a
-  /// snapshot is attached but unusable.
+  /// The leaf-ordered snapshot for leaf kernel scans, or null when it
+  /// cannot serve: no snapshot, or an in-place overwrite since it was
+  /// taken. Logs (once) when a snapshot is attached but unusable.
   const kernels::DatasetView* kernel_view() const;
 
   const data::Dataset* dataset_;
@@ -203,6 +227,8 @@ class XTree {
   /// Rows the tree covers; the delta [base_rows_, dataset size) is merged
   /// into query results by a scalar scan.
   size_t base_rows_ = 0;
+  /// Leaf-ordered snapshot (see the header comment); null after
+  /// Insert/Remove until RefreshKernelView.
   std::shared_ptr<const kernels::DatasetView> view_;
   // Query-path tallies; relaxed atomics so concurrent read-only Knn /
   // RangeSearch calls from service worker threads are race-free.

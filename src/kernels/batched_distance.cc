@@ -55,11 +55,10 @@ inline double SelectionBound(double bound) {
 /// SelectionBound, so exceeding it proves every final distance strictly
 /// greater than the caller's distance bound. Returns false when the block
 /// was abandoned that way.
-template <knn::MetricKind kMetric, bool kContiguous>
+template <knn::MetricKind kMetric>
 bool AccumulateBlock(const DatasetView& view, const double* query,
-                     std::span<const int> dims, const data::PointId* ids,
-                     data::PointId first, size_t m, double threshold,
-                     double* acc) {
+                     std::span<const int> dims, data::PointId first, size_t m,
+                     double threshold, double* acc) {
   for (size_t j = 0; j < m; ++j) acc[j] = 0.0;
 
   const size_t num_dims = dims.size();
@@ -68,18 +67,9 @@ bool AccumulateBlock(const DatasetView& view, const double* query,
   while (c < num_dims) {
     const size_t chunk_end = std::min(c + kDimChunk, num_dims);
     for (; c < chunk_end; ++c) {
-      const double* col = view.Column(dims[c]);
+      const double* base = view.Column(dims[c]) + first;
       const double qv = query[dims[c]];
-      if constexpr (kContiguous) {
-        const double* base = col + first;
-        for (size_t j = 0; j < m; ++j) {
-          Accumulate<kMetric>(acc[j], qv - base[j]);
-        }
-      } else {
-        for (size_t j = 0; j < m; ++j) {
-          Accumulate<kMetric>(acc[j], qv - col[ids[j]]);
-        }
-      }
+      for (size_t j = 0; j < m; ++j) Accumulate<kMetric>(acc[j], qv - base[j]);
     }
     if (bounded && c < num_dims) {
       double partial = acc[0];
@@ -90,17 +80,15 @@ bool AccumulateBlock(const DatasetView& view, const double* query,
   return true;
 }
 
-/// One block of m <= kDistanceBlock candidates, dimension-outer /
-/// candidate-inner. kContiguous selects unit-stride loads from `first`
-/// versus gathers through `ids`.
-template <knn::MetricKind kMetric, bool kContiguous>
+/// One block of the m <= kDistanceBlock candidates [first, first + m),
+/// dimension-outer / candidate-inner with unit-stride loads.
+template <knn::MetricKind kMetric>
 void DistanceBlock(const DatasetView& view, const double* query,
-                   std::span<const int> dims, const data::PointId* ids,
-                   data::PointId first, size_t m, double bound, double* out) {
+                   std::span<const int> dims, data::PointId first, size_t m,
+                   double bound, double* out) {
   double acc[kDistanceBlock];
-  if (!AccumulateBlock<kMetric, kContiguous>(view, query, dims, ids, first,
-                                             m, SelectionBound<kMetric>(bound),
-                                             acc)) {
+  if (!AccumulateBlock<kMetric>(view, query, dims, first, m,
+                                SelectionBound<kMetric>(bound), acc)) {
     for (size_t j = 0; j < m; ++j) out[j] = kPrunedDistance;
     return;
   }
@@ -120,8 +108,8 @@ void TopKBlock(const DatasetView& view, const double* query,
   const double bound = collector->bound();
   const double bound_acc = SelectionBound<kMetric>(bound);
   double acc[kDistanceBlock];
-  if (!AccumulateBlock<kMetric, true>(view, query, dims, nullptr, first, m,
-                                      bound_acc, acc)) {
+  if (!AccumulateBlock<kMetric>(view, query, dims, first, m, bound_acc,
+                                acc)) {
     return;  // whole block provably beyond the k-th neighbour
   }
   double closest = acc[0];
@@ -140,7 +128,9 @@ void TopKBlock(const DatasetView& view, const double* query,
 }
 
 /// One (query-block, candidate-block) tile of the fused multi-point scan:
-/// up to kQueryBlock query rows against up to kDistanceBlock candidates.
+/// up to kQueryBlock query rows against the up to kDistanceBlock contiguous
+/// candidates at positions [first, first + m), offered as ids[j] (or as
+/// first + j when `ids` is null, i.e. when positions are PointIds).
 /// Dimension-outer / query-point / candidate-inner — each column block is
 /// loaded once and swept for every still-active query row. Per point the
 /// arithmetic is exactly TopKBlock's: ascending-dimension accumulation,
@@ -152,7 +142,7 @@ void TopKBlock(const DatasetView& view, const double* query,
 /// every point is inactive. A point's excluded id is skipped at offer time
 /// rather than by segment splitting, which changes pruning opportunities
 /// but never collector content.
-template <knn::MetricKind kMetric, bool kContiguous>
+template <knn::MetricKind kMetric>
 void MultiTopKBlock(const DatasetView& view,
                     std::span<const MultiPointQuery> queries,
                     std::span<const int> dims, const data::PointId* ids,
@@ -175,20 +165,13 @@ void MultiTopKBlock(const DatasetView& view,
   while (c < num_dims) {
     const size_t chunk_end = std::min(c + kDimChunk, num_dims);
     for (; c < chunk_end; ++c) {
-      const double* col = view.Column(dims[c]);
-      const double* base = col + first;
+      const double* base = view.Column(dims[c]) + first;
       const int dim = dims[c];
       for (size_t q = 0; q < nq; ++q) {
         if (!active[q]) continue;
         const double qv = queries[q].point[dim];
         double* a = acc[q];
-        if constexpr (kContiguous) {
-          for (size_t j = 0; j < m; ++j) Accumulate<kMetric>(a[j], qv - base[j]);
-        } else {
-          for (size_t j = 0; j < m; ++j) {
-            Accumulate<kMetric>(a[j], qv - col[ids[j]]);
-          }
-        }
+        for (size_t j = 0; j < m; ++j) Accumulate<kMetric>(a[j], qv - base[j]);
       }
     }
     if (c < num_dims) {
@@ -214,7 +197,7 @@ void MultiTopKBlock(const DatasetView& view,
     for (size_t j = 0; j < m; ++j) {
       if (a[j] <= bound_acc[q]) {
         const data::PointId id =
-            kContiguous ? first + static_cast<data::PointId>(j) : ids[j];
+            ids != nullptr ? ids[j] : first + static_cast<data::PointId>(j);
         if (queries[q].exclude && *queries[q].exclude == id) continue;
         const double dist = Finalize<kMetric>(a[j]);
         if (dist <= bound[q]) queries[q].collector->Offer(id, dist);
@@ -223,7 +206,6 @@ void MultiTopKBlock(const DatasetView& view,
   }
 }
 
-template <bool kContiguous>
 void MultiTopKDispatch(const DatasetView& view,
                        std::span<const MultiPointQuery> queries,
                        std::span<const int> dims, knn::MetricKind metric,
@@ -231,18 +213,41 @@ void MultiTopKDispatch(const DatasetView& view,
                        size_t m) {
   switch (metric) {
     case knn::MetricKind::kL1:
-      MultiTopKBlock<knn::MetricKind::kL1, kContiguous>(view, queries, dims,
-                                                        ids, first, m);
+      MultiTopKBlock<knn::MetricKind::kL1>(view, queries, dims, ids, first, m);
       return;
     case knn::MetricKind::kL2:
-      MultiTopKBlock<knn::MetricKind::kL2, kContiguous>(view, queries, dims,
-                                                        ids, first, m);
+      MultiTopKBlock<knn::MetricKind::kL2>(view, queries, dims, ids, first, m);
       return;
     case knn::MetricKind::kLInf:
-      MultiTopKBlock<knn::MetricKind::kLInf, kContiguous>(view, queries, dims,
-                                                          ids, first, m);
+      MultiTopKBlock<knn::MetricKind::kLInf>(view, queries, dims, ids, first,
+                                             m);
       return;
   }
+}
+
+/// Mbr::MinDistance's gap and accumulation, one dimension at a time over
+/// all boxes.
+template <knn::MetricKind kMetric>
+void BoxMinDistancesImpl(const double* lo, const double* hi, size_t count,
+                         const double* query, std::span<const int> dims,
+                         double* out) {
+  for (size_t c = 0; c < count; ++c) out[c] = 0.0;
+  for (const int dim : dims) {
+    const double q = query[dim];
+    const double* l = lo + static_cast<size_t>(dim) * count;
+    const double* h = hi + static_cast<size_t>(dim) * count;
+    for (size_t c = 0; c < count; ++c) {
+      const double gap = q < l[c] ? l[c] - q : (q > h[c] ? q - h[c] : 0.0);
+      if constexpr (kMetric == knn::MetricKind::kL1) {
+        out[c] += gap;
+      } else if constexpr (kMetric == knn::MetricKind::kL2) {
+        out[c] += gap * gap;
+      } else {
+        out[c] = std::max(out[c], gap);
+      }
+    }
+  }
+  for (size_t c = 0; c < count; ++c) out[c] = Finalize<kMetric>(out[c]);
 }
 
 void TopKDispatch(const DatasetView& view, const double* query,
@@ -262,42 +267,26 @@ void TopKDispatch(const DatasetView& view, const double* query,
   }
 }
 
-template <bool kContiguous>
 void Dispatch(const DatasetView& view, const double* query,
               std::span<const int> dims, knn::MetricKind metric,
-              const data::PointId* ids, data::PointId first, size_t m,
-              double bound, double* out) {
+              data::PointId first, size_t m, double bound, double* out) {
   switch (metric) {
     case knn::MetricKind::kL1:
-      DistanceBlock<knn::MetricKind::kL1, kContiguous>(view, query, dims, ids,
-                                                       first, m, bound, out);
+      DistanceBlock<knn::MetricKind::kL1>(view, query, dims, first, m, bound,
+                                          out);
       return;
     case knn::MetricKind::kL2:
-      DistanceBlock<knn::MetricKind::kL2, kContiguous>(view, query, dims, ids,
-                                                       first, m, bound, out);
+      DistanceBlock<knn::MetricKind::kL2>(view, query, dims, first, m, bound,
+                                          out);
       return;
     case knn::MetricKind::kLInf:
-      DistanceBlock<knn::MetricKind::kLInf, kContiguous>(view, query, dims,
-                                                         ids, first, m, bound,
-                                                         out);
+      DistanceBlock<knn::MetricKind::kLInf>(view, query, dims, first, m,
+                                            bound, out);
       return;
   }
 }
 
 }  // namespace
-
-void BatchedSubspaceDistance(const DatasetView& view,
-                             std::span<const double> query,
-                             std::span<const int> dims,
-                             knn::MetricKind metric,
-                             std::span<const data::PointId> ids, double bound,
-                             std::span<double> out) {
-  for (size_t start = 0; start < ids.size(); start += kDistanceBlock) {
-    const size_t m = std::min(kDistanceBlock, ids.size() - start);
-    Dispatch<false>(view, query.data(), dims, metric, ids.data() + start, 0,
-                    m, bound, out.data() + start);
-  }
-}
 
 void BatchedSubspaceDistanceRange(const DatasetView& view,
                                   std::span<const double> query,
@@ -307,19 +296,10 @@ void BatchedSubspaceDistanceRange(const DatasetView& view,
                                   std::span<double> out) {
   for (size_t start = 0; start < count; start += kDistanceBlock) {
     const size_t m = std::min(kDistanceBlock, count - start);
-    Dispatch<true>(view, query.data(), dims, metric, nullptr,
-                   first + static_cast<data::PointId>(start), m, bound,
-                   out.data() + start);
+    Dispatch(view, query.data(), dims, metric,
+             first + static_cast<data::PointId>(start), m, bound,
+             out.data() + start);
   }
-}
-
-void BatchedSubspaceDistance(const DatasetView& view,
-                             std::span<const double> query,
-                             const Subspace& subspace, knn::MetricKind metric,
-                             std::span<const data::PointId> ids, double bound,
-                             std::span<double> out) {
-  const std::vector<int> dims = subspace.Dims();
-  BatchedSubspaceDistance(view, query, dims, metric, ids, bound, out);
 }
 
 void BatchedSubspaceDistanceRange(const DatasetView& view,
@@ -381,8 +361,8 @@ uint64_t ScanAllForTopKMulti(const DatasetView& view,
     const std::span<const MultiPointQuery> tile = queries.subspan(q0, nq);
     for (size_t start = 0; start < n; start += kDistanceBlock) {
       const size_t m = std::min(kDistanceBlock, n - start);
-      MultiTopKDispatch<true>(view, tile, dims, metric, nullptr,
-                              static_cast<data::PointId>(start), m);
+      MultiTopKDispatch(view, tile, dims, metric, nullptr,
+                        static_cast<data::PointId>(start), m);
     }
     // Per point, the sequential scan examines every row except its own
     // exclusion (pruned candidates included), so the fused count is the
@@ -394,21 +374,40 @@ uint64_t ScanAllForTopKMulti(const DatasetView& view,
   return examined;
 }
 
-uint64_t ScanIdsForTopKMulti(const DatasetView& view,
-                             std::span<const MultiPointQuery> queries,
-                             const Subspace& subspace, knn::MetricKind metric,
-                             std::span<const data::PointId> ids) {
-  const std::vector<int> dims = subspace.Dims();
+uint64_t ScanRangeForTopKMulti(const DatasetView& view,
+                               std::span<const MultiPointQuery> queries,
+                               std::span<const int> dims,
+                               knn::MetricKind metric, data::PointId first,
+                               std::span<const data::PointId> ids) {
   for (size_t q0 = 0; q0 < queries.size(); q0 += kQueryBlock) {
     const size_t nq = std::min(kQueryBlock, queries.size() - q0);
     const std::span<const MultiPointQuery> tile = queries.subspan(q0, nq);
     for (size_t start = 0; start < ids.size(); start += kDistanceBlock) {
       const size_t m = std::min(kDistanceBlock, ids.size() - start);
-      MultiTopKDispatch<false>(view, tile, dims, metric, ids.data() + start,
-                               0, m);
+      MultiTopKDispatch(view, tile, dims, metric, ids.data() + start,
+                        first + static_cast<data::PointId>(start), m);
     }
   }
   return static_cast<uint64_t>(queries.size()) * ids.size();
+}
+
+void BoxMinDistances(const double* lo, const double* hi, size_t count,
+                     std::span<const double> query, std::span<const int> dims,
+                     knn::MetricKind metric, double* out) {
+  switch (metric) {
+    case knn::MetricKind::kL1:
+      BoxMinDistancesImpl<knn::MetricKind::kL1>(lo, hi, count, query.data(),
+                                                dims, out);
+      return;
+    case knn::MetricKind::kL2:
+      BoxMinDistancesImpl<knn::MetricKind::kL2>(lo, hi, count, query.data(),
+                                                dims, out);
+      return;
+    case knn::MetricKind::kLInf:
+      BoxMinDistancesImpl<knn::MetricKind::kLInf>(lo, hi, count,
+                                                  query.data(), dims, out);
+      return;
+  }
 }
 
 }  // namespace hos::kernels

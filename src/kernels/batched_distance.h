@@ -1,14 +1,16 @@
-// BatchedSubspaceDistance: the vectorized subspace-masked distance kernel
-// shared by both kNN backends (knn/linear_scan, index/xtree).
+// BatchedSubspaceDistanceRange: the vectorized subspace-masked distance
+// kernel shared by both kNN backends (knn/linear_scan, index/xtree), plus
+// the X-tree's directory kernel (BoxMinDistances).
 //
 // Loop order: distances from one query point to a block of candidates are
 // computed dimension-outer / candidate-inner over the column-major
-// DatasetView, so the inner loop is a unit-stride (or gathered) sweep the
-// compiler auto-vectorizes. Each candidate still accumulates its
-// per-dimension terms in ascending dimension order — the same order
-// knn::SubspaceDistance walks the mask — so kernel distances are *bitwise
-// identical* to the scalar metric path; the differential suite
-// (tests/kernels/) asserts this on every backend.
+// DatasetView, so the inner loop is a unit-stride sweep the compiler
+// auto-vectorizes. Candidates are always contiguous view positions: the
+// linear scan's view is in id order, the X-tree's in leaf order. Each
+// candidate still accumulates its per-dimension terms in ascending
+// dimension order — the same order knn::SubspaceDistance walks the mask —
+// so kernel distances are *bitwise identical* to the scalar metric path;
+// the differential suite (tests/kernels/) asserts this on every backend.
 //
 // Partial-distance early exit: all three metrics are monotone in the
 // dimension set, so a block whose smallest partial accumulation already
@@ -57,19 +59,11 @@ inline constexpr size_t kDistanceBlock = 64;
 inline constexpr double kPrunedDistance =
     std::numeric_limits<double>::infinity();
 
-/// Distances from `query` to the candidates `ids`; out[i] receives the exact
-/// distance of ids[i] or kPrunedDistance. `dims` is the subspace's ascending
-/// dimension list (Subspace::Dims()); `bound` = +infinity disables the early
-/// exit. Requires out.size() >= ids.size().
-void BatchedSubspaceDistance(const DatasetView& view,
-                             std::span<const double> query,
-                             std::span<const int> dims,
-                             knn::MetricKind metric,
-                             std::span<const data::PointId> ids, double bound,
-                             std::span<double> out);
-
-/// Contiguous-id variant: candidates first .. first+count-1. The inner loop
-/// is unit-stride, the fastest form of the kernel.
+/// Distances from `query` to the candidates at view positions first ..
+/// first+count-1 (unit-stride loads); out[i] receives the exact distance of
+/// position first + i or kPrunedDistance. `dims` is the subspace's
+/// ascending dimension list (Subspace::Dims()); `bound` = +infinity
+/// disables the early exit. Requires out.size() >= count.
 void BatchedSubspaceDistanceRange(const DatasetView& view,
                                   std::span<const double> query,
                                   std::span<const int> dims,
@@ -77,13 +71,8 @@ void BatchedSubspaceDistanceRange(const DatasetView& view,
                                   size_t count, double bound,
                                   std::span<double> out);
 
-/// Convenience overloads decoding the subspace per call; prefer the span
-/// forms when one query issues many kernel calls.
-void BatchedSubspaceDistance(const DatasetView& view,
-                             std::span<const double> query,
-                             const Subspace& subspace, knn::MetricKind metric,
-                             std::span<const data::PointId> ids, double bound,
-                             std::span<double> out);
+/// Convenience overload decoding the subspace per call; prefer the span
+/// form when one query issues many kernel calls.
 void BatchedSubspaceDistanceRange(const DatasetView& view,
                                   std::span<const double> query,
                                   const Subspace& subspace,
@@ -197,13 +186,28 @@ uint64_t ScanAllForTopKMulti(const DatasetView& view,
                              std::span<const MultiPointQuery> queries,
                              const Subspace& subspace, knn::MetricKind metric);
 
-/// Fused top-k over an explicit candidate list for B query points (the
-/// X-tree's shared-traversal refinement step). Each point's excluded
+/// Fused top-k for B query points over the contiguous view positions
+/// [first, first + ids.size()), offered under the ids `ids` maps them to
+/// (position first + j is row ids[j]): the X-tree's leaf scan over its
+/// leaf-ordered snapshot. `dims` is Subspace::Dims(). Each point's excluded
 /// id is skipped at offer time; `ids` need not be pre-filtered per point.
-uint64_t ScanIdsForTopKMulti(const DatasetView& view,
-                             std::span<const MultiPointQuery> queries,
-                             const Subspace& subspace, knn::MetricKind metric,
-                             std::span<const data::PointId> ids);
+/// Returns queries.size() * ids.size().
+uint64_t ScanRangeForTopKMulti(const DatasetView& view,
+                               std::span<const MultiPointQuery> queries,
+                               std::span<const int> dims,
+                               knn::MetricKind metric, data::PointId first,
+                               std::span<const data::PointId> ids);
+
+/// Min-distances from `query` to `count` axis-aligned boxes stored
+/// dimension-major — box c spans [lo[dim * count + c], hi[dim * count + c]]
+/// — over the subspace's ascending dimension list `dims`. out[c] is bitwise
+/// index::Mbr::MinDistance: the same per-dimension gaps accumulated in
+/// ascending dimension order, the L2 square root last. One unit-stride
+/// sweep over all boxes per dimension: the X-tree expands a directory node
+/// with one call per query point. Requires out to hold `count` doubles.
+void BoxMinDistances(const double* lo, const double* hi, size_t count,
+                     std::span<const double> query, std::span<const int> dims,
+                     knn::MetricKind metric, double* out);
 
 }  // namespace hos::kernels
 

@@ -8,13 +8,15 @@
 // A view is an independent snapshot: it stays valid (and consistent) if the
 // source dataset later grows or is destroyed, but it does not track such
 // changes. It records the dataset version it was built at
-// (snapshot_version), which together with Dataset::last_overwrite_version
-// decides exactly how a holder may keep using it (SplitBaseDelta below):
+// (snapshot_version) and the dataset prefix it was taken over
+// (covered_rows), which together with Dataset::last_overwrite_version
+// decide exactly how a holder may keep using it (SplitBaseDelta below):
 //
 //  * rows only *appended* since the snapshot — the view still matches rows
-//    [0, num_points()) bit-for-bit and serves as the *base*; the live rows
-//    [num_points(), live.size()) are the *delta*, which the kNN backends
-//    cover with an exact scalar scan merged into the kernel results;
+//    [0, covered_rows()) bit-for-bit and serves as the *base*; the live
+//    rows [covered_rows(), live.size()) are the *delta*, which the kNN
+//    backends cover with an exact scalar scan merged into the kernel
+//    results;
 //  * any row *overwritten in place* (Dataset::Set) since the snapshot — the
 //    base itself is suspect and the view must not serve at all; callers
 //    fall back to their scalar paths (and, as before the versioned-ingest
@@ -28,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/data/dataset.h"
@@ -40,7 +43,17 @@ class DatasetView {
 
   /// Transposes `dataset` into column-major storage. O(n·d). Records the
   /// dataset's version so staleness is detected by mutation, not size.
+  /// Position i holds row i, so positions are PointIds.
   static DatasetView Build(const data::Dataset& dataset);
+
+  /// Column-major snapshot of the rows `order` names, in that order:
+  /// position i holds row order[i] (dead rows zeroed). Positions are *not*
+  /// PointIds — only a holder that keeps `order` may use the view (the
+  /// X-tree's leaf-ordered snapshot). `covered_rows` is the dataset prefix
+  /// the holder's structure covers, and so the base the view serves.
+  static DatasetView BuildInOrder(const data::Dataset& dataset,
+                                  std::span<const data::PointId> order,
+                                  size_t covered_rows);
 
   size_t num_points() const { return num_points_; }
   int num_dims() const { return num_dims_; }
@@ -48,6 +61,10 @@ class DatasetView {
 
   /// Dataset::version() at the time the snapshot was taken.
   uint64_t snapshot_version() const { return snapshot_version_; }
+
+  /// Rows [0, covered_rows()) form the base this snapshot serves;
+  /// num_points() for a Build view.
+  size_t covered_rows() const { return covered_rows_; }
 
   /// Contiguous values of one dimension across all points.
   const double* Column(int dim) const {
@@ -57,8 +74,14 @@ class DatasetView {
   double At(data::PointId id, int dim) const { return Column(dim)[id]; }
 
  private:
+  /// Shared body of Build and BuildInOrder: position i holds row row_at(i).
+  template <typename RowAt>
+  static DatasetView Transpose(const data::Dataset& dataset, size_t count,
+                               size_t covered_rows, RowAt row_at);
+
   size_t num_points_ = 0;
   int num_dims_ = 0;
+  size_t covered_rows_ = 0;
   uint64_t snapshot_version_ = 0;
   std::vector<double> columns_;  // [dim * num_points + point]
 };
@@ -76,17 +99,17 @@ struct BaseDeltaSplit {
 };
 
 /// The one staleness policy shared by every kNN backend (see the header
-/// comment): the snapshot serves rows [0, view->num_points()) iff no
+/// comment): the snapshot serves rows [0, view->covered_rows()) iff no
 /// in-place overwrite happened after it was taken and the live dataset
 /// still contains at least those rows.
 inline BaseDeltaSplit SplitBaseDelta(
     const std::shared_ptr<const DatasetView>& view,
     const data::Dataset& live) {
-  if (view == nullptr || view->num_points() > live.size() ||
+  if (view == nullptr || view->covered_rows() > live.size() ||
       live.last_overwrite_version() > view->snapshot_version()) {
     return {};
   }
-  return {view.get(), view->num_points()};
+  return {view.get(), view->covered_rows()};
 }
 
 }  // namespace hos::kernels

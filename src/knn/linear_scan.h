@@ -4,8 +4,8 @@
 //
 // Since the kernel rewire the scan runs blockwise over a column-major SoA
 // snapshot (kernels::DatasetView) through the shared
-// BatchedSubspaceDistance kernel, with partial-distance early exit against
-// the running k-th neighbour bound. Results are identical to the scalar
+// BatchedSubspaceDistanceRange kernel, with partial-distance early exit
+// against the running k-th neighbour bound. Results are identical to the scalar
 // per-point metric path (tests/kernels/ enforces this).
 //
 // Streaming ingest: the snapshot is the engine's immutable *base*. Rows

@@ -19,11 +19,111 @@ OdCache::OdCache(OdCacheConfig config) {
       RoundUpToPowerOfTwo(std::max(config.num_shards, 1));
   shard_mask_ = num_shards - 1;
   capacity_ = std::max<size_t>(config.capacity, num_shards);
-  per_shard_capacity_ = std::max<size_t>(capacity_ / num_shards, 1);
+  // Entries are addressed by 32-bit index within a shard.
+  per_shard_capacity_ = std::clamp<size_t>(capacity_ / num_shards, 1,
+                                           Shard::kNone - 1);
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
+}
+
+uint32_t OdCache::Shard::Find(const Key& key, size_t hash) const {
+  if (slots_.empty()) return kNone;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HomeSlot(hash);; i = (i + 1) & mask) {
+    if (slots_[i] == 0) return kNone;
+    const uint32_t entry = slots_[i] - 1;
+    if (At(entry).key == key) return entry;
+  }
+}
+
+void OdCache::Shard::Unlink(uint32_t entry) {
+  Entry& e = At(entry);
+  (e.prev == kNone ? head_ : At(e.prev).next) = e.next;
+  (e.next == kNone ? tail_ : At(e.next).prev) = e.prev;
+}
+
+void OdCache::Shard::PushFront(uint32_t entry) {
+  Entry& e = At(entry);
+  e.prev = kNone;
+  e.next = head_;
+  (head_ == kNone ? tail_ : At(head_).prev) = entry;
+  head_ = entry;
+}
+
+void OdCache::Shard::Touch(uint32_t entry) {
+  if (entry == head_) return;
+  Unlink(entry);
+  PushFront(entry);
+}
+
+void OdCache::Shard::EraseSlotOf(uint32_t entry) {
+  const size_t mask = slots_.size() - 1;
+  size_t hole = HomeSlot(KeyHash{}(At(entry).key));
+  while (slots_[hole] != entry + 1) hole = (hole + 1) & mask;
+  // Backward shift: pull later members of the probe run into the hole
+  // unless their home slot lies cyclically in (hole, i].
+  for (size_t i = (hole + 1) & mask; slots_[i] != 0; i = (i + 1) & mask) {
+    const size_t home = HomeSlot(KeyHash{}(At(slots_[i] - 1).key));
+    const bool stays = hole <= i ? (hole < home && home <= i)
+                                 : (hole < home || home <= i);
+    if (stays) continue;
+    slots_[hole] = slots_[i];
+    hole = i;
+  }
+  slots_[hole] = 0;
+}
+
+void OdCache::Shard::Grow() {
+  slot_bits_ = std::max(slot_bits_ + 1, 4);
+  slots_.assign(size_t{1} << slot_bits_, 0);
+  const size_t mask = slots_.size() - 1;
+  for (uint32_t entry = head_; entry != kNone; entry = At(entry).next) {
+    size_t i = HomeSlot(KeyHash{}(At(entry).key));
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = entry + 1;
+  }
+}
+
+bool OdCache::Shard::Insert(const Key& key, size_t hash, double value,
+                            size_t capacity) {
+  if (4 * (size_ + 1) > 3 * slots_.size()) Grow();
+  uint32_t entry = free_;
+  if (entry != kNone) {
+    free_ = At(entry).next;
+  } else {
+    entry = allocated_++;
+    if ((entry & kChunkMask) == 0) {
+      chunks_.push_back(std::make_unique<Entry[]>(size_t{1} << kChunkBits));
+    }
+  }
+  At(entry).key = key;
+  At(entry).od = value;
+  const size_t mask = slots_.size() - 1;
+  size_t i = HomeSlot(hash);
+  while (slots_[i] != 0) i = (i + 1) & mask;
+  slots_[i] = entry + 1;
+  PushFront(entry);
+  if (++size_ <= capacity) return false;
+  const uint32_t victim = tail_;
+  EraseSlotOf(victim);
+  Unlink(victim);
+  At(victim).next = free_;
+  free_ = victim;
+  --size_;
+  return true;
+}
+
+void OdCache::Shard::Clear() {
+  chunks_.clear();
+  chunks_.shrink_to_fit();
+  allocated_ = 0;
+  slots_.clear();
+  slots_.shrink_to_fit();
+  slot_bits_ = 0;
+  head_ = tail_ = free_ = kNone;
+  size_ = 0;
 }
 
 bool OdCache::Lookup(uint64_t version, data::PointId id, uint64_t mask,
@@ -32,14 +132,13 @@ bool OdCache::Lookup(uint64_t version, data::PointId id, uint64_t mask,
   const size_t hash = KeyHash{}(key);
   Shard& shard = ShardFor(key, hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  const uint32_t entry = shard.Find(key, hash);
+  if (entry == Shard::kNone) {
     ++misses_;
     return false;
   }
-  // Move to the front of the recency list.
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  *od = it->second->second;
+  shard.Touch(entry);
+  *od = shard.od(entry);
   ++hits_;
   return true;
 }
@@ -50,19 +149,13 @@ void OdCache::Store(uint64_t version, data::PointId id, uint64_t mask,
   const size_t hash = KeyHash{}(key);
   Shard& shard = ShardFor(key, hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    it->second->second = od;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  const uint32_t entry = shard.Find(key, hash);
+  if (entry != Shard::kNone) {
+    shard.od(entry) = od;
+    shard.Touch(entry);
     return;
   }
-  shard.lru.emplace_front(key, od);
-  shard.index.emplace(key, shard.lru.begin());
-  if (shard.lru.size() > per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    ++evictions_;
-  }
+  if (shard.Insert(key, hash, od, per_shard_capacity_)) ++evictions_;
 }
 
 namespace {
@@ -94,14 +187,14 @@ void OdCache::LookupMulti(uint64_t version,
     std::lock_guard<std::mutex> lock(shard.mu);
     for (size_t i = head[s]; i != kChainEnd; i = next[i]) {
       const Key key{version, keys[i].id, keys[i].mask};
-      auto it = shard.index.find(key);
-      if (it == shard.index.end()) {
+      const uint32_t entry = shard.Find(key, KeyHash{}(key));
+      if (entry == Shard::kNone) {
         found[i] = 0;
         ++miss_count;
         continue;
       }
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      od[i] = it->second->second;
+      shard.Touch(entry);
+      od[i] = shard.od(entry);
       found[i] = 1;
       ++hit_count;
     }
@@ -128,17 +221,14 @@ void OdCache::StoreMulti(uint64_t version,
     std::lock_guard<std::mutex> lock(shard.mu);
     for (size_t i = head[s]; i != kChainEnd; i = next[i]) {
       const Key key{version, keys[i].id, keys[i].mask};
-      auto it = shard.index.find(key);
-      if (it != shard.index.end()) {
-        it->second->second = od[i];
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      const size_t hash = KeyHash{}(key);
+      const uint32_t entry = shard.Find(key, hash);
+      if (entry != Shard::kNone) {
+        shard.od(entry) = od[i];
+        shard.Touch(entry);
         continue;
       }
-      shard.lru.emplace_front(key, od[i]);
-      shard.index.emplace(key, shard.lru.begin());
-      if (shard.lru.size() > per_shard_capacity_) {
-        shard.index.erase(shard.lru.back().first);
-        shard.lru.pop_back();
+      if (shard.Insert(key, hash, od[i], per_shard_capacity_)) {
         ++eviction_count;
       }
     }
@@ -150,7 +240,7 @@ size_t OdCache::size() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->lru.size();
+    total += shard->size();
   }
   return total;
 }
@@ -158,8 +248,7 @@ size_t OdCache::size() const {
 void OdCache::Clear() {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->index.clear();
-    shard->lru.clear();
+    shard->Clear();
   }
 }
 

@@ -8,6 +8,13 @@
 // shards, each protected by its own mutex, so threads touching different
 // shards never contend.
 //
+// Memory: a shard keeps its entries in fixed-size chunks, links them into
+// the recency list by 32-bit index and finds them through an
+// open-addressing table of entry indices — about 50 bytes per entry. (A
+// std::list + std::unordered_map pair of node allocations took ~140.) The
+// cache fills at the rate queries miss, so its footprint is what peak
+// memory tracks on a cold-cache workload.
+//
 // Correctness under streaming ingest: OD(p, s) is a pure function of the
 // *dataset contents*, k and metric — and appends change the contents — so
 // every entry is keyed by the dataset version it was computed at. A lookup
@@ -22,12 +29,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/common/atomic_counter.h"
@@ -38,7 +42,7 @@ namespace hos::service {
 
 struct OdCacheConfig {
   /// Total capacity in entries across all shards. One entry is one
-  /// (version, point, subspace) → OD double, ~56 bytes with bookkeeping.
+  /// (version, point, subspace) → OD double, ~50 bytes with bookkeeping.
   size_t capacity = 1 << 20;
   /// Number of independent mutex-striped shards; rounded up to a power of
   /// two. More shards, less contention.
@@ -152,13 +156,65 @@ class OdCache {
     }
   };
 
-  struct Shard {
+  /// One LRU shard (callers hold `mu`). Entries live in fixed-size chunks,
+  /// so growth never moves them; evicted entries are recycled through a
+  /// free list. The recency list (front = most recently used) and the free
+  /// list are linked by entry index. `slots_` is a linear-probing table of
+  /// entry index + 1 (0 = empty), at most 3/4 full, with backward-shift
+  /// deletion so no tombstones accumulate.
+  class Shard {
+   public:
+    static constexpr uint32_t kNone = UINT32_MAX;
+
     std::mutex mu;
-    /// Front = most recently used.
-    std::list<std::pair<Key, double>> lru;
-    std::unordered_map<Key, std::list<std::pair<Key, double>>::iterator,
-                       KeyHash>
-        index;
+
+    /// The entry holding `key`, or kNone.
+    uint32_t Find(const Key& key, size_t hash) const;
+    /// Moves an entry to the front of the recency list.
+    void Touch(uint32_t entry);
+    double& od(uint32_t entry) { return At(entry).od; }
+    /// Adds an absent key at the front; when that takes the shard past
+    /// `capacity` entries, evicts the least recently used and returns true.
+    bool Insert(const Key& key, size_t hash, double value, size_t capacity);
+    size_t size() const { return size_; }
+    void Clear();
+
+   private:
+    struct Entry {
+      Key key;
+      double od;
+      uint32_t prev;
+      uint32_t next;  // also the free-list link
+    };
+
+    /// Home slot of a hash: its high bits, which are independent of the
+    /// low bits that chose the shard.
+    size_t HomeSlot(size_t hash) const {
+      return static_cast<size_t>(static_cast<uint64_t>(hash) >>
+                                 (64 - slot_bits_));
+    }
+    void Unlink(uint32_t entry);
+    void PushFront(uint32_t entry);
+    void EraseSlotOf(uint32_t entry);
+    void Grow();
+
+    static constexpr int kChunkBits = 10;  // 1024 entries, 40 KiB
+    static constexpr uint32_t kChunkMask = (uint32_t{1} << kChunkBits) - 1;
+    Entry& At(uint32_t entry) {
+      return chunks_[entry >> kChunkBits][entry & kChunkMask];
+    }
+    const Entry& At(uint32_t entry) const {
+      return chunks_[entry >> kChunkBits][entry & kChunkMask];
+    }
+
+    std::vector<std::unique_ptr<Entry[]>> chunks_;
+    uint32_t allocated_ = 0;  // entries ever handed out
+    std::vector<uint32_t> slots_;
+    int slot_bits_ = 0;
+    uint32_t head_ = kNone;
+    uint32_t tail_ = kNone;
+    uint32_t free_ = kNone;
+    size_t size_ = 0;
   };
 
   Shard& ShardFor(const Key& key, size_t hash) const {

@@ -144,7 +144,7 @@ TEST(StreamingMinerTest, TwoPhaseRebuildFoldsTheDelta) {
   ASSERT_TRUE(miner.Append({{0.4, 0.4, 0.4, 0.4, 0.4},
                             {0.6, 0.6, 0.6, 0.6, 0.6}}).ok());
   EXPECT_EQ(miner.delta_rows(), 2u);
-  EXPECT_LT(miner.soa_view().num_points(), miner.dataset().size());
+  EXPECT_LT(miner.xtree()->base_rows(), miner.dataset().size());
 
   auto artifacts = miner.PrepareRebuild();
   ASSERT_TRUE(artifacts.ok());
@@ -155,7 +155,7 @@ TEST(StreamingMinerTest, TwoPhaseRebuildFoldsTheDelta) {
 
   miner.CommitRebuild(std::move(artifacts).value());
   EXPECT_EQ(miner.delta_rows(), 0u);
-  EXPECT_EQ(miner.soa_view().num_points(), miner.dataset().size());
+  EXPECT_EQ(miner.xtree()->base_rows(), miner.dataset().size());
   ASSERT_TRUE(miner.Query(0).ok());
 }
 

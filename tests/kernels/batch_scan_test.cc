@@ -1,5 +1,5 @@
 // Differential suite for the fused multi-point scan entry points
-// (ScanAllForTopKMulti / ScanIdsForTopKMulti): for randomized datasets,
+// (ScanAllForTopKMulti / ScanRangeForTopKMulti): for randomized datasets,
 // metrics, subspaces, k values and batch sizes straddling kQueryBlock, each
 // query point's collector must finish with exactly — bitwise, not
 // approximately — the content its sequential ScanAllForTopK run (or, for
@@ -92,12 +92,11 @@ TEST(BatchScanTest, ScanAllMultiMatchesSequentialBitwise) {
   }
 }
 
-TEST(BatchScanTest, ScanIdsMultiMatchesSequentialBitwise) {
+TEST(BatchScanTest, ScanRangeMultiMatchesSequentialBitwise) {
   Rng rng(7002);
   const size_t n = 200;
   const int d = 6;
   data::Dataset ds = data::GenerateUniform(n, d, &rng);
-  DatasetView view = DatasetView::Build(ds);
   for (MetricKind metric :
        {MetricKind::kL2, MetricKind::kL1, MetricKind::kLInf}) {
     for (size_t batch : {1u, 5u, 8u, 13u}) {
@@ -114,6 +113,13 @@ TEST(BatchScanTest, ScanIdsMultiMatchesSequentialBitwise) {
       }
       ids.push_back(ids.front());
 
+      // The candidates sit contiguously behind a few unrelated rows of a
+      // view in candidate order, like a leaf in the X-tree's snapshot.
+      std::vector<data::PointId> order = {5, 199, 0};
+      const auto first = static_cast<data::PointId>(order.size());
+      order.insert(order.end(), ids.begin(), ids.end());
+      const DatasetView view = DatasetView::BuildInOrder(ds, order, n);
+
       std::vector<TopKCollector> fused;
       std::vector<MultiPointQuery> queries(batch);
       std::vector<data::PointId> query_ids(batch);
@@ -126,7 +132,9 @@ TEST(BatchScanTest, ScanIdsMultiMatchesSequentialBitwise) {
         queries[b].collector = &fused[b];
       }
 
-      ScanIdsForTopKMulti(view, queries, subspace, metric, ids);
+      EXPECT_EQ(ScanRangeForTopKMulti(view, queries, subspace.Dims(), metric,
+                                      first, ids),
+                batch * ids.size());
 
       for (size_t b = 0; b < batch; ++b) {
         // Scalar reference: every listed candidate but the query's own id,

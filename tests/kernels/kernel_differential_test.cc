@@ -108,22 +108,26 @@ TEST_P(KernelDifferentialTest, BatchedDistancesMatchScalarMetric) {
   data::Dataset ds = MakeData(param, &rng);
   DatasetView view = DatasetView::Build(ds);
 
-  std::vector<data::PointId> all_ids(ds.size());
-  for (size_t i = 0; i < all_ids.size(); ++i) {
-    all_ids[i] = static_cast<data::PointId>(i);
+  // The same rows in reverse order: a permuted layout like the X-tree's
+  // leaf-ordered snapshot.
+  std::vector<data::PointId> reversed(ds.size());
+  for (size_t i = 0; i < reversed.size(); ++i) {
+    reversed[i] = static_cast<data::PointId>(ds.size() - 1 - i);
   }
+  const DatasetView reversed_view =
+      DatasetView::BuildInOrder(ds, reversed, ds.size());
 
   for (const Subspace& s : TestSubspaces(param.d, &rng, 4)) {
     std::vector<double> q(param.d);
     for (auto& v : q) v = rng.Uniform(-1.0, 2.0);
 
-    // Contiguous and gathered forms, no bound: every distance exact.
+    // Id-ordered and permuted layouts, no bound: every distance exact.
     std::vector<double> range_dist(ds.size());
-    std::vector<double> gather_dist(ds.size());
+    std::vector<double> permuted_dist(ds.size());
     BatchedSubspaceDistanceRange(view, q, s, param.metric, 0, ds.size(),
                                  kPrunedDistance, range_dist);
-    BatchedSubspaceDistance(view, q, s, param.metric, all_ids,
-                            kPrunedDistance, gather_dist);
+    BatchedSubspaceDistanceRange(reversed_view, q, s, param.metric, 0,
+                                 ds.size(), kPrunedDistance, permuted_dist);
     for (data::PointId id = 0; id < ds.size(); ++id) {
       const double want =
           knn::SubspaceDistance(q, ds.Row(id), s, param.metric);
@@ -131,7 +135,7 @@ TEST_P(KernelDifferentialTest, BatchedDistancesMatchScalarMetric) {
       // The kernel accumulates in the scalar path's dimension order, so the
       // match is in fact bitwise, not just within tolerance.
       EXPECT_EQ(range_dist[id], want) << s.ToString();
-      EXPECT_EQ(gather_dist[id], want) << s.ToString();
+      EXPECT_EQ(permuted_dist[ds.size() - 1 - id], want) << s.ToString();
     }
 
     // Bounded form: pruned candidates must be provably beyond the bound,

@@ -78,8 +78,8 @@ TEST(KernelFuzzTest, TinyBlocksAndDuplicatesMatchOracle) {
       ASSERT_EQ(got[id], want[id]) << "seed " << seed << " id " << id;
     }
 
-    // Gathered form over a shuffled subset (blocks smaller than the unroll
-    // width, repeated ids allowed).
+    // A shuffled subset laid out in list order, as the X-tree lays out its
+    // leaves (blocks smaller than the unroll width, repeated ids allowed).
     std::vector<data::PointId> ids;
     const size_t num_ids = static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(n)));
@@ -87,11 +87,12 @@ TEST(KernelFuzzTest, TinyBlocksAndDuplicatesMatchOracle) {
       ids.push_back(static_cast<data::PointId>(
           rng.UniformInt(0, static_cast<int64_t>(n) - 1)));
     }
-    std::vector<double> gathered(ids.size());
-    BatchedSubspaceDistance(view, q, subspace, metric, ids, kPrunedDistance,
-                            gathered);
+    const DatasetView ordered = DatasetView::BuildInOrder(ds, ids, n);
+    std::vector<double> in_order(ids.size());
+    BatchedSubspaceDistanceRange(ordered, q, subspace, metric, 0, ids.size(),
+                                 kPrunedDistance, in_order);
     for (size_t i = 0; i < ids.size(); ++i) {
-      ASSERT_EQ(gathered[i], want[ids[i]]) << "seed " << seed;
+      ASSERT_EQ(in_order[i], want[ids[i]]) << "seed " << seed;
     }
 
     // Bounded form with a random (sometimes zero) bound: a pruned candidate

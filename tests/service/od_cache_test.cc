@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <list>
+#include <map>
+#include <random>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 namespace hos::service {
@@ -153,6 +157,100 @@ TEST(OdCacheTest, ClearEmptiesButKeepsCounters) {
   EXPECT_FALSE(cache.Lookup(kV, 1, 1, &od));
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
+}
+
+// The shard's open-addressing table under heavy churn: random stores,
+// lookups and their batched forms over a key space several times the
+// capacity (growth, eviction, backward-shift deletion, free-list reuse,
+// Clear), checked step by step against a plain list-based LRU model.
+TEST(OdCacheTest, MatchesReferenceLruUnderChurn) {
+  OdCacheConfig config;
+  config.num_shards = 1;
+  config.capacity = 97;
+  OdCache cache(config);
+
+  using ModelKey = std::tuple<uint64_t, data::PointId, uint64_t>;
+  std::list<std::pair<ModelKey, double>> lru;  // front = most recent
+  std::map<ModelKey, std::list<std::pair<ModelKey, double>>::iterator> index;
+  uint64_t evictions = 0;
+  const auto model_lookup = [&](const ModelKey& key, double* od) {
+    auto it = index.find(key);
+    if (it == index.end()) return false;
+    lru.splice(lru.begin(), lru, it->second);
+    *od = it->second->second;
+    return true;
+  };
+  const auto model_store = [&](const ModelKey& key, double od) {
+    auto it = index.find(key);
+    if (it != index.end()) {
+      it->second->second = od;
+      lru.splice(lru.begin(), lru, it->second);
+      return;
+    }
+    lru.emplace_front(key, od);
+    index[key] = lru.begin();
+    if (lru.size() > config.capacity) {
+      index.erase(lru.back().first);
+      lru.pop_back();
+      ++evictions;
+    }
+  };
+
+  std::mt19937_64 rng(15004);
+  const auto random_key = [&] {
+    return ModelKey{rng() % 3, static_cast<data::PointId>(rng() % 150),
+                    1 + rng() % 3};
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t op = rng() % 100;
+    if (op == 0) {
+      cache.Clear();
+      lru.clear();
+      index.clear();
+    } else if (op < 45) {
+      const ModelKey key = random_key();
+      const double od = static_cast<double>(step);
+      cache.Store(std::get<0>(key), std::get<1>(key), std::get<2>(key), od);
+      model_store(key, od);
+    } else if (op < 90) {
+      const ModelKey key = random_key();
+      double got = -1.0, want = -1.0;
+      ASSERT_EQ(cache.Lookup(std::get<0>(key), std::get<1>(key),
+                             std::get<2>(key), &got),
+                model_lookup(key, &want))
+          << "step " << step;
+      ASSERT_EQ(got, want) << "step " << step;
+    } else {
+      // A batch on one version, stored or looked up in batch order.
+      const uint64_t version = rng() % 3;
+      std::vector<search::SharedOdStore::OdKey> keys(1 + rng() % 12);
+      std::vector<double> ods(keys.size());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        keys[i] = {static_cast<data::PointId>(rng() % 150), 1 + rng() % 3};
+        ods[i] = static_cast<double>(step) + 0.5 * static_cast<double>(i);
+      }
+      if (op < 95) {
+        cache.StoreMulti(version, keys, ods);
+        for (size_t i = 0; i < keys.size(); ++i) {
+          model_store({version, keys[i].id, keys[i].mask}, ods[i]);
+        }
+      } else {
+        std::vector<double> got(keys.size(), -1.0);
+        std::vector<uint8_t> found(keys.size());
+        cache.LookupMulti(version, keys, got, found);
+        for (size_t i = 0; i < keys.size(); ++i) {
+          double want = -1.0;
+          ASSERT_EQ(found[i] == 1,
+                    model_lookup({version, keys[i].id, keys[i].mask}, &want))
+              << "step " << step << " key " << i;
+          if (found[i] == 1) ASSERT_EQ(got[i], want) << "step " << step;
+        }
+      }
+    }
+    ASSERT_EQ(cache.size(), lru.size()) << "step " << step;
+  }
+  EXPECT_EQ(cache.evictions(), evictions);
+  EXPECT_GT(evictions, 1000u);
 }
 
 // Striping smoke test: hammer one cache from many threads across a key
