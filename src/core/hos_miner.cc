@@ -129,8 +129,6 @@ HosMiner::LearningArtifacts HosMiner::LearnPriors(Rng* rng) const {
   artifacts.version = dataset_->version();
   artifacts.report = learning::LearnPruningPriors(*dataset_, *engine_,
                                                   learner_options, rng);
-  artifacts.search = std::make_unique<search::DynamicSubspaceSearch>(
-      d, artifacts.report.priors);
   return artifacts;
 }
 
@@ -278,7 +276,7 @@ std::vector<Result<QueryResult>> HosMiner::QueryBatchFused(
   if (!valid.empty()) {
     // One evaluator per point, all on the shared engine/store — the only
     // shared inputs, and both only ever hand back bitwise-exact OD values,
-    // which is why the co-scheduled walks replay the per-point searches.
+    // which is why a point's answer does not depend on its block.
     std::vector<search::OdEvaluator> evaluators;
     evaluators.reserve(valid.size());
     std::vector<search::OdEvaluator*> pointers;
@@ -288,48 +286,9 @@ std::vector<Result<QueryResult>> HosMiner::QueryBatchFused(
                               ids[i], options.od_store);
     }
     for (search::OdEvaluator& od : evaluators) pointers.push_back(&od);
-
-    search::SearchExecution exec;
-    exec.pool = options.search_pool;
-    exec.max_threads = options.search_threads;
-    exec.lattice_backend = options.lattice_backend;
-    exec.max_od_evaluations = options.max_od_evaluations;
-    exec.filter = density_filter_.get();
-    exec.filter_mode = options.filter_mode;
-    std::unique_ptr<obs::QueryTracer> local_tracer;
-    obs::QueryTracer* tracer = options.tracer;
-    if (tracer == nullptr && options.collect_trace) {
-      local_tracer = std::make_unique<obs::QueryTracer>();
-      tracer = local_tracer.get();
-    }
-    const uint64_t version = dataset_->version();
-    std::vector<Result<search::SearchOutcome>> outcomes;
-    {
-      obs::ScopedSpan search_span(
-          tracer, "search", options.trace_parent,
-          tracer != nullptr ? "points=" + std::to_string(valid.size())
-                            : std::string());
-      exec.tracer = tracer;
-      exec.trace_parent = search_span.id();
-      search::BatchFrontierRunner runner(dataset_->num_dims(), &priors());
-      outcomes = runner.Run(pointers, threshold_, exec);
-    }
-    // The block records one shared span tree; every successful result
-    // carries it (shared_ptr, so this stays cheap).
-    std::shared_ptr<const obs::QueryTrace> trace;
-    if (local_tracer != nullptr) {
-      trace = std::make_shared<const obs::QueryTrace>(local_tracer->Finish());
-    }
+    std::vector<Result<QueryResult>> results = RunBlock(pointers, options);
     for (size_t j = 0; j < valid.size(); ++j) {
-      if (!outcomes[j].ok()) {
-        slots[valid[j]] = outcomes[j].status();
-        continue;
-      }
-      QueryResult result;
-      result.outcome = std::move(outcomes[j]).value();
-      result.dataset_version = version;
-      result.trace = trace;
-      slots[valid[j]] = std::move(result);
+      slots[valid[j]] = std::move(results[j]);
     }
   }
   std::vector<Result<QueryResult>> out;
@@ -350,43 +309,69 @@ Result<QueryResult> HosMiner::RunSearch(
                          options.od_store);
   if (full_space_seed.has_value()) {
     // Screening hand-off: the full-space OD is already known (bitwise, from
-    // the same engine), so warm the memo before the strategy snapshots its
+    // the same engine), so warm the memo before the walk snapshots its
     // counters — the seed then reports like a shared-store hit, never as a
     // fresh evaluation, and the walk skips one kNN query.
     od.Deposit(Subspace::Full(dataset_->num_dims()).mask(), *full_space_seed,
                search::OdEvaluator::ValueSource::kComputed);
   }
+  search::OdEvaluator* const ods[] = {&od};
+  return std::move(RunBlock(ods, options).front());
+}
+
+std::vector<Result<QueryResult>> HosMiner::RunBlock(
+    std::span<search::OdEvaluator* const> ods,
+    const QueryOptions& options) const {
   search::SearchExecution exec;
   exec.pool = options.search_pool;
-  exec.max_threads = options.search_threads;
   exec.lattice_backend = options.lattice_backend;
   exec.max_od_evaluations = options.max_od_evaluations;
   exec.filter = density_filter_.get();
   exec.filter_mode = options.filter_mode;
   // Tracing: record into the caller's tracer when given; otherwise, when
   // collect_trace asked for one, own a local tracer and hand the finished
-  // trace back on the result. Spans observe timing only — the search takes
-  // no decision from them — so traced and untraced answers are identical.
+  // trace back on the results. Spans observe timing only — the search
+  // takes no decision from them — so traced and untraced answers are
+  // identical.
   std::unique_ptr<obs::QueryTracer> local_tracer;
   obs::QueryTracer* tracer = options.tracer;
   if (tracer == nullptr && options.collect_trace) {
     local_tracer = std::make_unique<obs::QueryTracer>();
     tracer = local_tracer.get();
   }
-  QueryResult result;
-  result.dataset_version = dataset_->version();
+  const uint64_t version = dataset_->version();
+  std::vector<Result<search::SearchOutcome>> outcomes;
   {
-    obs::ScopedSpan search_span(tracer, "search", options.trace_parent);
+    obs::ScopedSpan search_span(
+        tracer, "search", options.trace_parent,
+        tracer != nullptr && ods.size() > 1
+            ? "points=" + std::to_string(ods.size())
+            : std::string());
     exec.tracer = tracer;
     exec.trace_parent = search_span.id();
-    HOS_ASSIGN_OR_RETURN(result.outcome,
-                         query_search_->Run(&od, threshold_, exec));
+    outcomes = search::BatchFrontierRunner(dataset_->num_dims(), &priors())
+                   .Run(ods, threshold_, exec);
   }
+  // A block records one shared span tree; every successful result carries
+  // it (shared_ptr, so this stays cheap).
+  std::shared_ptr<const obs::QueryTrace> trace;
   if (local_tracer != nullptr) {
-    result.trace =
-        std::make_shared<const obs::QueryTrace>(local_tracer->Finish());
+    trace = std::make_shared<const obs::QueryTrace>(local_tracer->Finish());
   }
-  return result;
+  std::vector<Result<QueryResult>> results;
+  results.reserve(outcomes.size());
+  for (Result<search::SearchOutcome>& outcome : outcomes) {
+    if (!outcome.ok()) {
+      results.push_back(outcome.status());
+      continue;
+    }
+    QueryResult result;
+    result.outcome = std::move(outcome).value();
+    result.dataset_version = version;
+    result.trace = trace;
+    results.push_back(std::move(result));
+  }
+  return results;
 }
 
 // ---------------------------------------------------------------------------
@@ -484,7 +469,6 @@ HosMiner::LearningArtifacts HosMiner::PrepareLearning() const {
 
 void HosMiner::CommitLearning(LearningArtifacts artifacts) {
   learning_report_ = std::move(artifacts.report);
-  query_search_ = std::move(artifacts.search);
   priors_version_ = artifacts.version;
   learning_stale_ = false;
 }

@@ -28,8 +28,8 @@
 #include "src/knn/linear_scan.h"
 #include "src/learning/learner.h"
 #include "src/obs/trace.h"
+#include "src/search/batch_frontier.h"
 #include "src/search/search_result.h"
-#include "src/search/subspace_search.h"
 
 namespace hos::core {
 
@@ -80,17 +80,15 @@ struct QueryOptions {
   /// Memoised values are bit-identical to fresh evaluations, so results
   /// with and without a store are the same.
   search::SharedOdStore* od_store = nullptr;
-  /// Borrowed pool for intra-query parallel frontier evaluation; null runs
-  /// the lattice search sequentially on the calling thread. Must not be
-  /// the pool the query itself executes on — frontier waves block on their
-  /// chunk futures, so a pool waiting on itself deadlocks once every
-  /// worker is blocked (service::QueryService keeps a dedicated search
-  /// pool for this reason).
+  /// Borrowed pool for intra-query parallelism: each round of the lattice
+  /// walk fans its kNN passes out across the pool's full width (for Query
+  /// and QueryBatchFused alike); null runs the walk sequentially on the
+  /// calling thread. Must not be the pool the query itself executes on — a
+  /// round blocks on its chunk futures, so a pool waiting on itself
+  /// deadlocks once every worker is blocked (service::QueryService keeps a
+  /// dedicated search pool for this reason). Answers are identical either
+  /// way.
   service::ThreadPool* search_pool = nullptr;
-  /// Concurrent OD evaluations per frontier wave; 0 uses the pool's full
-  /// width, <= 1 with a pool still evaluates sequentially. Ignored without
-  /// search_pool. Answers are identical at any setting.
-  int search_threads = 0;
   /// Lattice storage backend for this query's search. kAuto picks the flat
   /// dense array for d <= lattice::kDenseMaxDims and the hash-map sparse
   /// store above (the only way to search d in 23..kMaxLatticeDims); both
@@ -104,7 +102,7 @@ struct QueryOptions {
   /// (SearchExecution::max_od_evaluations).
   uint64_t max_od_evaluations = 0;
   /// When true (and no external `tracer` is given), the query collects a
-  /// span tree — search → strategy → level → knn — and attaches it to
+  /// span tree — search → dynamic → level → knn — and attaches it to
   /// QueryResult::trace. Tracing observes, never steers: answers are
   /// bitwise identical with it on or off (held by
   /// tests/obs/trace_differential_test.cc).
@@ -225,14 +223,14 @@ class HosMiner {
 
   /// Fused batch form of Query(id, options): each id is validated exactly
   /// like Query (OutOfRange / NotFound / FailedPrecondition reported in
-  /// that id's slot), then the valid points' lattice searches are
-  /// co-scheduled through search::BatchFrontierRunner so OD evaluations
-  /// coinciding on a subspace share one fused kNN pass. Per-point answer
-  /// content is bitwise identical to Query(id, options) — see
-  /// batch_frontier.h for the argument and the monitoring-only counter
-  /// exceptions. With collect_trace set (and no external tracer) the whole
-  /// block records one shared span tree, attached to every successful
-  /// result.
+  /// that id's slot), then the valid points' lattice walks share the
+  /// rounds of one search::BatchFrontierRunner — the runner Query drives
+  /// at a block of one — so OD evaluations coinciding on a subspace share
+  /// one fused kNN pass. Per-point answer content is bitwise identical to
+  /// Query(id, options) — see batch_frontier.h for the argument and the
+  /// monitoring-only counter exceptions. With collect_trace set (and no
+  /// external tracer) the whole block records one shared span tree,
+  /// attached to every successful result.
   std::vector<Result<QueryResult>> QueryBatchFused(
       std::span<const data::PointId> ids, const QueryOptions& options) const;
 
@@ -331,7 +329,6 @@ class HosMiner {
   /// prepare concurrently with queries.
   struct LearningArtifacts {
     learning::LearningReport report;
-    std::unique_ptr<search::DynamicSubspaceSearch> search;
     /// Dataset version the priors were learned at.
     uint64_t version = 0;
   };
@@ -411,6 +408,17 @@ class HosMiner {
       const QueryOptions& options,
       std::optional<double> full_space_seed = std::nullopt) const;
 
+  /// The one search path under RunSearch and QueryBatchFused: walks the
+  /// lattice for every evaluator in `ods` (one block, one per point)
+  /// through search::BatchFrontierRunner with `options`' execution and
+  /// tracing settings, and wraps each outcome in a QueryResult at the
+  /// current dataset version. Without an external tracer, collect_trace
+  /// records one span tree for the block, attached to every successful
+  /// result.
+  std::vector<Result<QueryResult>> RunBlock(
+      std::span<search::OdEvaluator* const> ods,
+      const QueryOptions& options) const;
+
   /// The one learning step shared by Build and PrepareLearning: runs the
   /// sampling-based learner (skipped — flat priors — past the dense
   /// lattice cap, where each sample would cost a full sparse search) over
@@ -425,7 +433,6 @@ class HosMiner {
   std::unique_ptr<filter::DensityBoundFilter> density_filter_;
   double threshold_ = 0.0;
   learning::LearningReport learning_report_;
-  std::unique_ptr<search::DynamicSubspaceSearch> query_search_;
   bool learning_stale_ = false;
   /// Dataset version the installed priors were learned at (feeds
   /// learning_staleness()).

@@ -67,6 +67,14 @@ std::vector<std::vector<Neighbor>> LinearScanKnn::SearchBatch(
   if (kk == 0 || points.empty()) {
     return std::vector<std::vector<Neighbor>>(points.size());
   }
+  if (points.size() == 1) {
+    // One point (every single-query lattice walk): the single-point scan
+    // skips the multi-point kernel's tile bookkeeping and batch buffers,
+    // which cost ~10% per call at n=1.5k.
+    std::vector<std::vector<Neighbor>> one;
+    one.push_back(Search({points[0].point, subspace, k, points[0].exclude}));
+    return one;
+  }
   const kernels::BaseDeltaSplit split =
       kernels::SplitBaseDelta(view_, dataset_);
   if (split.base == nullptr) {

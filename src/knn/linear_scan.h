@@ -49,8 +49,8 @@ class LinearScanKnn : public KnnEngine {
   /// Fused multi-point scan: one pass over the SoA base serves the whole
   /// batch (kernels::ScanAllForTopKMulti), then each point merges the
   /// append delta scalar-exactly. Answers are bitwise identical to the
-  /// per-point Search loop. Falls back to that loop when the base snapshot
-  /// cannot serve.
+  /// per-point Search loop. A batch of one, and a base snapshot that cannot
+  /// serve, take that loop.
   std::vector<std::vector<Neighbor>> SearchBatch(
       std::span<const BatchPointQuery> points, const Subspace& subspace,
       int k) const override;

@@ -1,13 +1,14 @@
 // Per-query tracing: where did one query spend its time?
 //
 // A QueryTracer collects named, timed spans into a tree (explicit parent
-// ids — no thread-local span stacks, because ParallelEvaluator workers
-// record concurrently into the same trace). The serving path opens a
-// "service" root, HosMiner a "search" child, each SubspaceSearch strategy a
-// child per lattice level, and ParallelEvaluator a leaf per kNN call or
-// OD-store hit — so a finished QueryTrace names every level from the front
-// door down to the index probe.
-//
+// ids — no thread-local span stacks, because search-pool workers record
+// concurrently into the same trace). Every query, alone or in a fused
+// block, records the same shape: the serving path opens a "service" root,
+// HosMiner a "search" child, search::BatchFrontierRunner a strategy span
+// ("dynamic", "bottom-up", "top-down") with one "level" child per round
+// and one "knn" leaf per kNN pass — so a finished QueryTrace names every
+// level from the front door down to the index probe.
+
 // Cost model: every instrumentation site holds a `QueryTracer*` that is
 // null unless the caller opted in (QueryOptions::collect_trace or the
 // service's slow-query sampling). Disabled tracing is one pointer test per

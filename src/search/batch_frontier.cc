@@ -1,8 +1,12 @@
 #include "src/search/batch_frontier.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <future>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -10,14 +14,35 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/combinatorics.h"
 #include "src/common/timer.h"
-#include "src/filter/density_filter.h"
-#include "src/lattice/lattice_store.h"
-#include "src/obs/trace.h"
-#include "src/search/frontier_support.h"
+#include "src/filter/minimal_filter.h"
+#include "src/service/thread_pool.h"
 
 namespace hos::search {
 namespace {
+
+/// Work-budget gate (SearchExecution::max_od_evaluations), consulted before
+/// a level batch is materialised: spending so far plus the level's
+/// undecided count must fit the budget, so a runaway query fails fast
+/// instead of allocating (or evaluating) an astronomically large wave.
+Status CheckSearchBudget(const SearchExecution& exec, const OdEvaluator& od,
+                         uint64_t evals_at_start, int level,
+                         uint64_t level_count) {
+  if (exec.max_od_evaluations == 0) return Status::OK();
+  const uint64_t spent = od.num_evaluations() - evals_at_start;
+  if (spent + level_count <= exec.max_od_evaluations) return Status::OK();
+  const uint64_t left =
+      exec.max_od_evaluations > spent ? exec.max_od_evaluations - spent : 0;
+  return Status::ResourceExhausted(
+      "search work budget exceeded: level " + std::to_string(level) +
+      " holds " + std::to_string(level_count) +
+      " undecided subspaces, but only " + std::to_string(left) + " of the " +
+      std::to_string(exec.max_od_evaluations) +
+      " budgeted OD evaluations remain (raise "
+      "SearchExecution::max_od_evaluations, use a band-pruning-friendly "
+      "strategy, or reduce dimensionality)");
+}
 
 /// One point's walk state. The lattice, the counters and the round scratch
 /// are all private to the point — the only thing the batch shares is the
@@ -32,30 +57,139 @@ struct PointRun {
   uint64_t steps = 0;
   uint64_t bound_decisions = 0;
   bool done = false;
-  // Scratch of the round in flight; wave is cleared on retirement so the
-  // merge phase can tell participants from bystanders.
+  // The round in flight: the level being evaluated and its scratch.
+  int level = 0;
   std::vector<uint64_t> wave;
   std::vector<double> values;
   std::vector<uint8_t> resolved;
 };
 
+/// Assembles a point's SearchOutcome once its lattice is fully decided.
+SearchOutcome AssembleOutcome(const PointRun& run, double threshold,
+                              const Timer& timer) {
+  const lattice::LatticeStore& state = *run.state;
+  assert(state.AllDecided());
+  const int d = state.num_dims();
+  SearchOutcome outcome;
+  outcome.num_dims = d;
+  outcome.threshold = threshold;
+  outcome.evaluated_outliers = state.evaluated_outlier_list();
+  outcome.minimal_outlying_subspaces =
+      filter::MinimalSubspaces(state.evaluated_outlier_list());
+  outcome.outlier_fraction.assign(d + 1, 0.0);
+  for (int m = 1; m <= d; ++m) {
+    outcome.outlier_fraction[m] =
+        static_cast<double>(state.OutliersAtLevel(m)) /
+        static_cast<double>(Binomial(d, m));
+    outcome.counters.pruned_upward += state.InferredOutliers(m);
+    outcome.counters.pruned_downward += state.InferredNonOutliers(m);
+  }
+  outcome.counters.od_evaluations = run.od->num_evaluations() - run.od_before;
+  outcome.counters.distance_computations =
+      run.od->engine().distance_computations() - run.dist_before;
+  outcome.counters.steps = run.steps;
+  outcome.counters.bound_decisions = run.bound_decisions;
+  outcome.counters.elapsed_seconds = timer.ElapsedSeconds();
+  return outcome;
+}
+
+const char* StrategyName(LevelOrder order) {
+  switch (order) {
+    case LevelOrder::kTotalSavingFactor:
+      return "dynamic";
+    case LevelOrder::kBottomUp:
+      return "bottom-up";
+    case LevelOrder::kTopDown:
+      return "top-down";
+  }
+  return "dynamic";
+}
+
+/// Calls fn(i) for every i in [0, count). Without a pool (or with fewer
+/// than two items) it runs on the calling thread in index order; with one,
+/// the indices are cut into deterministic chunks (~4 per worker, so a
+/// straggling chunk rebalances) drained by at most the pool's width of
+/// tasks. Which task runs which chunk is timing-dependent, so fn(i) must
+/// write only state owned by index i. Blocks until every call returned.
+template <typename Fn>
+void ForEachIndex(service::ThreadPool* pool, size_t count, const Fn& fn) {
+  const size_t width =
+      pool == nullptr ? 1 : static_cast<size_t>(pool->num_threads());
+  if (width <= 1 || count < 2) {
+    for (size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  const size_t chunk =
+      std::max<size_t>(1, (count + width * 4 - 1) / (width * 4));
+  const size_t num_chunks = (count + chunk - 1) / chunk;
+  std::atomic<size_t> next_chunk{0};
+  auto drain_chunks = [&]() {
+    for (size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+         c < num_chunks;
+         c = next_chunk.fetch_add(1, std::memory_order_relaxed)) {
+      for (size_t i = c * chunk; i < std::min(c * chunk + chunk, count); ++i) {
+        fn(i);
+      }
+    }
+  };
+  const size_t num_tasks = std::min(width, num_chunks);
+  std::vector<std::future<void>> done;
+  done.reserve(num_tasks);
+  // Submission must not unwind while earlier tasks still reference this
+  // frame; on failure, drain what was queued before rethrowing.
+  try {
+    for (size_t t = 0; t < num_tasks; ++t) {
+      done.push_back(pool->SubmitWithResult(drain_chunks));
+    }
+  } catch (...) {
+    next_chunk.store(num_chunks, std::memory_order_relaxed);
+    for (std::future<void>& f : done) f.wait();
+    throw;
+  }
+  // wait() everything before get(): get() can rethrow, and unwinding while
+  // other workers still write into the caller's slots would be a
+  // use-after-free.
+  for (std::future<void>& f : done) f.wait();
+  for (std::future<void>& f : done) f.get();
+}
+
 }  // namespace
+
+int BatchFrontierRunner::NextLevel(const lattice::LatticeStore& state) const {
+  switch (order_) {
+    case LevelOrder::kTotalSavingFactor:
+      return lattice::BestLevel(*priors_, state);
+    case LevelOrder::kBottomUp:
+      for (int m = 1; m <= num_dims_; ++m) {
+        if (state.UndecidedCount(m) > 0) return m;
+      }
+      return 0;
+    case LevelOrder::kTopDown:
+      for (int m = num_dims_; m >= 1; --m) {
+        if (state.UndecidedCount(m) > 0) return m;
+      }
+      return 0;
+  }
+  return 0;
+}
 
 std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
     std::span<OdEvaluator* const> ods, double threshold,
     const SearchExecution& exec) const {
-  if (priors_->num_dims() != num_dims_) {
-    // Same input error DynamicSubspaceSearch reports, replicated per point.
+  if (order_ == LevelOrder::kTotalSavingFactor &&
+      priors_->num_dims() != num_dims_) {
+    // Mis-sized priors would index out of bounds in TotalSavingFactor;
+    // fail every point loudly instead (priors come from callers' learning
+    // reports, so the mismatch is an input error).
     const Status bad = Status::InvalidArgument(
         "pruning priors cover " + std::to_string(priors_->num_dims()) +
         " dimensions but the search runs over " + std::to_string(num_dims_));
-    std::vector<Result<SearchOutcome>> out;
-    out.reserve(ods.size());
-    for (size_t q = 0; q < ods.size(); ++q) out.push_back(bad);
-    return out;
+    return std::vector<Result<SearchOutcome>>(ods.size(), bad);
   }
-  const filter::DensityBoundFilter* filter = internal::ActiveFilter(exec);
+  const filter::DensityBoundFilter* filter =
+      exec.filter_mode == filter::FilterMode::kOff ? nullptr : exec.filter;
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  obs::QueryTracer* const tracer = exec.tracer;
 
   Timer timer;
   std::vector<std::optional<Result<SearchOutcome>>> slots(ods.size());
@@ -77,9 +211,10 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
   }
 
   obs::ScopedSpan strategy_span(
-      exec.tracer, "batch-dynamic", exec.trace_parent,
-      exec.tracer != nullptr ? "points=" + std::to_string(ods.size())
-                             : std::string());
+      tracer, StrategyName(order_), exec.trace_parent,
+      tracer != nullptr && ods.size() > 1
+          ? "points=" + std::to_string(ods.size())
+          : std::string());
 
   // Round scratch, reused across rounds. `open` holds one entry per
   // (point, wave slot) the memo and the density filter left open; after
@@ -92,60 +227,76 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
     size_t q;
     size_t slot;
   };
+  /// One fused kNN pass: the points [begin, end) of `compute` / `queries`
+  /// / `fresh` that need `mask`.
+  struct KnnPass {
+    uint64_t mask;
+    size_t begin;
+    size_t end;
+  };
   std::vector<OpenEval> open;
   std::vector<SharedOdStore::OdKey> probe_keys;
   std::vector<size_t> probe_owner;  // index into `open` per probe key
   std::vector<double> probe_values;
   std::vector<uint8_t> probe_found;
-  std::vector<size_t> compute;  // indices into `open` of the group in flight
+  std::vector<KnnPass> passes;
+  std::vector<size_t> compute;  // index into `open` per pass point
   std::vector<knn::BatchPointQuery> queries;
+  std::vector<double> fresh;
   std::vector<SharedOdStore::OdKey> store_keys;
   std::vector<double> store_values;
 
-  while (live > 0) {
-    open.clear();
-    obs::ScopedSpan wave_span(
-        exec.tracer, "wave", strategy_span.id(),
-        exec.tracer != nullptr ? "points=" + std::to_string(live)
-                               : std::string());
-
-    // Phase 1 — per point: pick the level its sequential walk would pick
-    // next, apply the budget gate, materialise the wave, and resolve what
-    // the memo and the density filter can. This replays the sequential
-    // FrontierRunner::EvaluateLevel pre-evaluation half per point, in the
-    // identical order (memo first, then filter), with the identical
-    // threshold sentinels and tallies.
+  while (true) {
+    // Phase 1 — per point: pick the level its walk evaluates next (0
+    // retires the point) and apply the budget gate.
+    int level_lo = num_dims_ + 1;
+    int level_hi = 0;
     for (size_t q = 0; q < runs.size(); ++q) {
       PointRun& run = runs[q];
       if (run.done) continue;
-      const int m = lattice::BestLevel(*priors_, *run.state);
-      if (m == 0) {
-        slots[q] = internal::AssembleOutcome(
-            *run.state, threshold, *run.od, run.od_before, run.dist_before,
-            run.steps, timer, run.bound_decisions);
-        run.done = true;
-        run.wave.clear();
-        --live;
-        continue;
-      }
-      Status budget = internal::CheckSearchBudget(
-          exec, *run.od, run.od_before, m, run.state->UndecidedCount(m));
-      if (!budget.ok()) {
+      run.level = NextLevel(*run.state);
+      if (run.level == 0) {
+        slots[q] = AssembleOutcome(run, threshold, timer);
+      } else if (Status budget =
+                     CheckSearchBudget(exec, *run.od, run.od_before, run.level,
+                                       run.state->UndecidedCount(run.level));
+                 !budget.ok()) {
         slots[q] = std::move(budget);
-        run.done = true;
-        run.wave.clear();
-        --live;
+      } else {
+        level_lo = std::min(level_lo, run.level);
+        level_hi = std::max(level_hi, run.level);
         continue;
       }
-      run.wave = run.state->UndecidedMasks(m);
+      run.done = true;
+      --live;
+    }
+    if (live == 0) break;
+
+    std::string level_detail;
+    if (tracer != nullptr) {
+      level_detail = "m=" + std::to_string(level_lo);
+      if (level_hi > level_lo) level_detail += ".." + std::to_string(level_hi);
+      if (ods.size() > 1) level_detail += " points=" + std::to_string(live);
+    }
+    obs::ScopedSpan level_span(tracer, "level", strategy_span.id(),
+                               std::move(level_detail));
+
+    // Materialise each live point's wave and resolve what the memo and the
+    // density filter can: memo first, then filter. Bound verdicts enter as
+    // threshold sentinels, which the lattice — storing only `od >= T` —
+    // treats exactly like the exact values.
+    open.clear();
+    for (size_t q = 0; q < runs.size(); ++q) {
+      PointRun& run = runs[q];
+      if (run.done) continue;
+      run.wave = run.state->UndecidedMasks(run.level);
       run.values.assign(run.wave.size(), 0.0);
       run.resolved.assign(run.wave.size(), 0);
       for (size_t i = 0; i < run.wave.size(); ++i) {
         const uint64_t mask = run.wave[i];
         double memoised;
         if (run.od->LookupLocal(mask, &memoised)) {
-          // As in the sequential runner: the memoised value, no counter
-          // movement.
+          // The memoised value, no counter movement.
           run.values[i] = memoised;
           run.resolved[i] = 1;
           continue;
@@ -175,7 +326,7 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
     // sequential evaluator's store-probe → kNN → store-write order, and no
     // two masks share a store key, so batching the probes and writes
     // across masks changes no value and no hit (only LRU recency, see the
-    // header). The fusion is where the batch recovers B-1 index traversals
+    // header). The fusion is where a block recovers B-1 index traversals
     // per coinciding subspace.
     std::sort(open.begin(), open.end(),
               [](const OpenEval& a, const OpenEval& b) {
@@ -207,59 +358,77 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
       }
     }
 
-    store_keys.clear();
-    store_values.clear();
-    // Per distinct mask (a contiguous run of `open`), one fused kNN pass.
+    // Group what the store left open into one pass per distinct mask (a
+    // contiguous run of `open`).
+    passes.clear();
+    compute.clear();
+    queries.clear();
     for (size_t begin = 0, end; begin < open.size(); begin = end) {
       const uint64_t mask = open[begin].mask;
       end = begin + 1;
       while (end < open.size() && open[end].mask == mask) ++end;
-      compute.clear();
-      queries.clear();
+      const size_t first = compute.size();
       for (size_t t = begin; t < end; ++t) {
         const PointRun& run = runs[open[t].q];
         if (run.resolved[open[t].slot]) continue;  // store hit
-        const OdEvaluator& od = *run.od;
         compute.push_back(t);
-        queries.push_back({od.point(), od.exclude()});
+        queries.push_back({run.od->point(), run.od->exclude()});
       }
-      if (compute.empty()) continue;
+      if (compute.size() > first) {
+        passes.push_back({mask, first, compute.size()});
+      }
+    }
 
-      const OdEvaluator& lead = *runs[open[compute.front()].q].od;
-      obs::ScopedSpan knn_span(
-          exec.tracer, "knn-batch", wave_span.id(),
-          exec.tracer != nullptr
-              ? "mask=" + std::to_string(mask) +
-                    " points=" + std::to_string(queries.size())
-              : std::string());
-      const std::vector<double> fresh = knn::OutlyingDegreeBatch(
-          lead.engine(), queries, Subspace(mask), lead.k());
+    // The passes, fanned out across the pool when there is one: each
+    // writes only its own slots of `fresh`.
+    fresh.assign(compute.size(), 0.0);
+    ForEachIndex(exec.pool, passes.size(), [&](size_t p) {
+      const KnnPass& pass = passes[p];
+      const OdEvaluator& lead = *runs[open[compute[pass.begin]].q].od;
+      const size_t points = pass.end - pass.begin;
+      std::string detail;
+      if (tracer != nullptr) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "mask=0x%" PRIx64, pass.mask);
+        detail = buf;
+        if (points > 1) detail += " points=" + std::to_string(points);
+      }
+      obs::ScopedSpan knn_span(tracer, "knn", level_span.id(),
+                               std::move(detail));
+      const std::vector<double> values = knn::OutlyingDegreeBatch(
+          lead.engine(),
+          std::span<const knn::BatchPointQuery>(queries).subspan(pass.begin,
+                                                                 points),
+          Subspace(pass.mask), lead.k());
+      std::copy(values.begin(), values.end(), fresh.begin() + pass.begin);
+    });
 
-      for (size_t c = 0; c < compute.size(); ++c) {
-        const OpenEval& e = open[compute[c]];
-        PointRun& run = runs[e.q];
-        run.od->Deposit(mask, fresh[c], OdEvaluator::ValueSource::kComputed);
-        run.values[e.slot] = fresh[c];
-        run.resolved[e.slot] = 1;
-        if (run.od->shareable()) {
-          store_keys.push_back({*run.od->exclude(), mask});
-          store_values.push_back(fresh[c]);
-        }
+    // Merge, calling thread, in mask order.
+    store_keys.clear();
+    store_values.clear();
+    for (size_t c = 0; c < compute.size(); ++c) {
+      const OpenEval& e = open[compute[c]];
+      PointRun& run = runs[e.q];
+      run.od->Deposit(e.mask, fresh[c], OdEvaluator::ValueSource::kComputed);
+      run.values[e.slot] = fresh[c];
+      run.resolved[e.slot] = 1;
+      if (run.od->shareable()) {
+        store_keys.push_back({*run.od->exclude(), e.mask});
+        store_values.push_back(fresh[c]);
       }
     }
     if (!store_keys.empty()) store->StoreMulti(store_keys, store_values);
 
-    // Phase 3 — per participating point: merge the wave in original mask
-    // order (the exact seed sequence the sequential loop produces), then
+    // Phase 3 — per live point: merge the wave in original mask
+    // order (the exact seed sequence a sequential walk produces), then
     // propagate both pruning directions.
     for (PointRun& run : runs) {
-      if (run.done || run.wave.empty()) continue;
+      if (run.done) continue;
       assert(std::all_of(run.resolved.begin(), run.resolved.end(),
                          [](uint8_t r) { return r != 0; }));
       run.state->MarkEvaluatedBatch(run.wave, run.values, threshold);
       run.state->Propagate();
       ++run.steps;
-      run.wave.clear();
     }
   }
 

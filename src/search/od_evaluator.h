@@ -65,10 +65,10 @@ class SharedOdStore {
 /// probes of the same subspace (e.g. by different search strategies in
 /// tests) cost one kNN query only.
 ///
-/// Thread safety: not thread-safe. ParallelEvaluator fans the *computation*
-/// of a batch of subspaces out across worker threads — the workers only read
+/// Thread safety: not thread-safe. BatchFrontierRunner fans the *kNN
+/// passes* of a round out across worker threads — the workers only read
 /// the evaluator's immutable query parameters (engine, point, k, exclude)
-/// — and then deposits the results back through Deposit() on the search
+/// — and then deposits the results back through Deposit() on the calling
 /// thread. Concurrent calls to Evaluate/Deposit themselves are not allowed.
 class OdEvaluator {
  public:
@@ -102,9 +102,10 @@ class OdEvaluator {
     kSharedStoreHit,  ///< answered by the cross-query SharedOdStore
   };
 
-  /// Records an externally produced OD value (ParallelEvaluator's merge
+  /// Records an externally produced OD value (BatchFrontierRunner's merge
   /// path). The value must be exactly what Evaluate(mask) would return —
-  /// OD is a pure function, so values computed on worker threads qualify.
+  /// OD is a pure function, so values from fused passes and worker threads
+  /// qualify.
   /// No-op when the mask is already memoised.
   void Deposit(uint64_t mask, double od, ValueSource source);
 

@@ -3,35 +3,33 @@
 //  * DynamicSubspaceSearch — the paper's §3.3 algorithm: repeatedly pick
 //    the level with the highest Total Saving Factor, evaluate its remaining
 //    subspaces, apply both pruning strategies, update TSF, repeat.
-//  * ExhaustiveSearch     — evaluates every one of the 2^d - 1 subspaces;
-//    the correctness oracle and the "no pruning" efficiency baseline.
 //  * BottomUpSearch       — static level order 1..d with pruning (ablation).
 //  * TopDownSearch        — static level order d..1 with pruning (ablation).
+//  * ExhaustiveSearch     — evaluates every one of the 2^d - 1 subspaces;
+//    the correctness oracle and the "no pruning" efficiency baseline.
 //
 // All strategies produce identical answer sets (tested); they differ only
 // in how much work they perform.
 //
-// Every strategy runs either sequentially (the default SearchExecution) or
-// with its per-level frontier fanned out across a service::ThreadPool —
-// same-level subspaces cannot prune each other, so a level batch is
-// embarrassingly parallel, and verdicts are merged into the lattice in
-// mask order so the pruning seed sequence is identical to the sequential
-// walk's. The lattice itself lives behind lattice::LatticeStore
-// (SearchExecution::lattice_backend: flat-array dense for d <= 22, lazy
-// hash-map sparse above). tests/search/strategy_differential_test.cc holds
-// every strategy × execution mode × backend to bitwise-identical answers
-// against the exhaustive oracle.
+// The three pruning strategies differ only in how they pick the next
+// level: each is search::BatchFrontierRunner at a block of one point,
+// with the matching LevelOrder. SearchExecution (batch_frontier.h) selects
+// the lattice storage backend (flat-array dense for d <= 22, lazy hash-map
+// sparse above) and, with a pool attached, fans each level's kNN passes
+// out across it; neither changes an answer. ExhaustiveSearch is a plain
+// sequential sweep that shares no code with the runner it checks.
+// tests/search/strategy_differential_test.cc holds every strategy ×
+// execution mode × backend to bitwise-identical answers against it.
 
 #ifndef HOS_SEARCH_SUBSPACE_SEARCH_H_
 #define HOS_SEARCH_SUBSPACE_SEARCH_H_
 
-#include <memory>
 #include <string_view>
 
 #include "src/common/result.h"
 #include "src/lattice/saving_factors.h"
 #include "src/search/od_evaluator.h"
-#include "src/search/parallel_evaluator.h"
+#include "src/search/batch_frontier.h"
 #include "src/search/search_result.h"
 
 namespace hos::search {
@@ -46,8 +44,8 @@ class SubspaceSearch {
   /// Runs a complete search for the evaluator's query point: on return
   /// every subspace is decided. `threshold` is the paper's T; a subspace s
   /// is outlying iff OD(p, s) >= T. `exec` selects sequential or parallel
-  /// frontier evaluation and the lattice storage backend; neither changes
-  /// the answer. Returns InvalidArgument when the strategy's configuration
+  /// kNN passes and the lattice storage backend; neither changes the
+  /// answer. Returns InvalidArgument when the strategy's configuration
   /// is inconsistent (e.g. priors sized for a different dimensionality,
   /// num_dims outside 1..lattice::kMaxLatticeDims, or a forced dense
   /// backend past lattice::kDenseMaxDims), and ResourceExhausted when
@@ -87,7 +85,10 @@ class DynamicSubspaceSearch : public SubspaceSearch {
   lattice::PruningPriors priors_;
 };
 
-/// Evaluates all 2^d - 1 subspaces. No pruning.
+/// Evaluates all 2^d - 1 subspaces, level by level through
+/// OdEvaluator::Evaluate on the calling thread. No pruning, and none of the
+/// runner's machinery: SearchExecution's pool and filter are ignored, its
+/// lattice backend is only validated, and the budget gate still applies.
 class ExhaustiveSearch : public SubspaceSearch {
  public:
   explicit ExhaustiveSearch(int num_dims) : num_dims_(num_dims) {}

@@ -174,22 +174,36 @@ void QueryService::FoldEngineStatsLocked() {
   engine_offsets_.stale_fallbacks += old.stale_fallbacks;
 }
 
-Result<core::QueryResult> QueryService::RunTimedQuery(data::PointId id) {
+Result<core::QueryResult> QueryService::Query(data::PointId id) {
+  return std::move(RunTimedBlock(std::span<const data::PointId>(&id, 1))
+                       .front());
+}
+
+std::future<Result<core::QueryResult>> QueryService::QueryAsync(
+    data::PointId id) {
+  return pool_.SubmitWithResult([this, id]() { return Query(id); });
+}
+
+std::vector<Result<core::QueryResult>> QueryService::RunTimedBlock(
+    std::span<const data::PointId> ids) {
   const ObservabilityConfig& obs_config = config_.observability;
   const bool traced = obs_config.trace_queries ||
                       obs_config.slow_query_threshold_seconds > 0.0;
   obs::QueryTracer tracer;  // unused (and cheap) when tracing is off
+  const std::string what =
+      !traced ? std::string()
+      : ids.size() == 1 ? "point=" + std::to_string(ids.front())
+                        : "points=" + std::to_string(ids.size());
   Timer timer;
-  Result<core::QueryResult> result = Status::Internal("query did not run");
+  std::vector<Result<core::QueryResult>> results;
   {
     // The "service" root span covers the same window the latency histogram
     // measures: epoch-lock wait plus the whole search.
     obs::ScopedSpan service_span(traced ? &tracer : nullptr, "service", -1,
-                                 traced ? "point=" + std::to_string(id)
-                                        : std::string());
-    // Reader side of the epoch lock: the query observes one committed
-    // dataset state for its whole run, and the version it binds into the
-    // cache view (and reports in the result) is that state's version.
+                                 what);
+    // One reader hold for the block: every point in it observes one
+    // committed dataset state for the whole run, and binds that state's
+    // version into the cache view (and reports it in the result).
     std::shared_lock<std::shared_mutex> epoch(epoch_mu_);
     OdCache::VersionView versioned_store(cache_.get(), miner_.version());
     core::QueryOptions options =
@@ -198,86 +212,17 @@ Result<core::QueryResult> QueryService::RunTimedQuery(data::PointId id) {
       options.tracer = &tracer;
       options.trace_parent = service_span.id();
     }
-    result = miner_.Query(id, options);
-  }
-  const double latency = timer.ElapsedSeconds();
-  if (result.ok()) {
-    const search::SearchCounters& counters = result.value().outcome.counters;
-    stats_.RecordQuery(latency, counters.od_evaluations,
-                       counters.bound_decisions);
-  } else {
-    stats_.RecordQuery(latency, 0);
-    if (result.status().IsNotFound()) {
-      // The id was deleted / slid out of the window: a clean client-visible
-      // rejection, counted separately from stale_fallbacks (which is an
-      // internal snapshot degradation that still answers exactly).
-      stats_.RecordEvictedReject();
-    }
-  }
-  if (traced) {
-    auto trace =
-        std::make_shared<const obs::QueryTrace>(tracer.Finish());
-    if (result.ok()) result.value().trace = trace;
-    if (obs_config.slow_query_threshold_seconds > 0.0 &&
-        latency >= obs_config.slow_query_threshold_seconds) {
-      stats_.RecordSlowQuery();
-      HOS_LOG(Warning) << "slow query: point=" << id
-                       << " latency_seconds=" << latency
-                       << " trace=" << trace->ToJson();
-    }
-  }
-  return result;
-}
-
-Result<core::QueryResult> QueryService::Query(data::PointId id) {
-  return RunTimedQuery(id);
-}
-
-std::future<Result<core::QueryResult>> QueryService::QueryAsync(
-    data::PointId id) {
-  return pool_.SubmitWithResult(
-      [this, id]() { return RunTimedQuery(id); });
-}
-
-void QueryService::RunTimedBlock(
-    std::span<const data::PointId> ids,
-    std::vector<std::optional<Result<core::QueryResult>>>* slots,
-    size_t base) {
-  const ObservabilityConfig& obs_config = config_.observability;
-  const bool traced = obs_config.trace_queries ||
-                      obs_config.slow_query_threshold_seconds > 0.0;
-  obs::QueryTracer tracer;  // unused (and cheap) when tracing is off
-  Timer timer;
-  std::vector<Result<core::QueryResult>> results;
-  {
-    // The "batch" root span covers the whole fused block, so the span
-    // tree reads batch → search → batch-dynamic → wave → knn-batch.
-    obs::ScopedSpan batch_span(
-        traced ? &tracer : nullptr, "batch", -1,
-        traced ? "points=" + std::to_string(ids.size()) : std::string());
-    // One reader hold for the block: every point in it observes the same
-    // committed dataset state and binds the same version into the cache
-    // view — exactly what a per-point loop at a quiescent version does.
-    std::shared_lock<std::shared_mutex> epoch(epoch_mu_);
-    OdCache::VersionView versioned_store(cache_.get(), miner_.version());
-    core::QueryOptions options =
-        MakeOptions(cache_ != nullptr ? &versioned_store : nullptr);
-    if (traced) {
-      options.tracer = &tracer;
-      options.trace_parent = batch_span.id();
-    }
     results = miner_.QueryBatchFused(ids, options);
   }
   // Block latency, recorded once per point: the per-point share is not
-  // separable on the fused path (monitoring data, like the work counters).
+  // separable in a fused block (monitoring data, like the work counters).
   const double latency = timer.ElapsedSeconds();
   std::shared_ptr<const obs::QueryTrace> trace;
   if (traced) {
     trace = std::make_shared<const obs::QueryTrace>(tracer.Finish());
   }
   uint64_t fused_evaluations = 0;
-  for (size_t i = 0; i < results.size(); ++i) {
-    Result<core::QueryResult>& result = results[i];
+  for (Result<core::QueryResult>& result : results) {
     if (result.ok()) {
       const search::SearchCounters& counters =
           result.value().outcome.counters;
@@ -287,52 +232,53 @@ void QueryService::RunTimedBlock(
       if (traced) result.value().trace = trace;
     } else {
       stats_.RecordQuery(latency, 0);
-      if (result.status().IsNotFound()) stats_.RecordEvictedReject();
+      if (result.status().IsNotFound()) {
+        // The id was deleted / slid out of the window: a clean
+        // client-visible rejection, counted separately from
+        // stale_fallbacks (which is an internal snapshot degradation that
+        // still answers exactly).
+        stats_.RecordEvictedReject();
+      }
     }
-    (*slots)[base + i] = std::move(result);
   }
-  stats_.RecordFusedBatch(ids.size(), fused_evaluations);
+  // A block of one shares no engine pass with anyone, so only blocks of
+  // two or more count as fused batches.
+  if (ids.size() > 1) stats_.RecordFusedBatch(ids.size(), fused_evaluations);
   if (traced && obs_config.slow_query_threshold_seconds > 0.0 &&
       latency >= obs_config.slow_query_threshold_seconds) {
     stats_.RecordSlowQuery();
-    HOS_LOG(Warning) << "slow batch: points=" << ids.size()
+    HOS_LOG(Warning) << "slow query: " << what
                      << " latency_seconds=" << latency
                      << " trace=" << trace->ToJson();
   }
+  return results;
 }
 
 Result<std::vector<core::QueryResult>> QueryService::QueryBatch(
     std::span<const data::PointId> ids) {
   stats_.RecordBatch();
 
-  // One slot per id, written by whichever worker runs it; slot order (not
-  // completion order) defines the output, so the batch is deterministic.
+  // One slot per id, written by whichever worker runs its block; slot
+  // order (not completion order) defines the output, so the batch is
+  // deterministic. One pool task per block of `width` ids; each block's
+  // lattice walks share rounds, so coinciding OD evaluations share one
+  // engine pass (answers identical — see batch_frontier.h).
   std::vector<std::optional<Result<core::QueryResult>>> slots(ids.size());
-  const size_t width = static_cast<size_t>(
-      std::max(config_.batch_fusion_width, 0));
+  const size_t width =
+      static_cast<size_t>(std::max(config_.batch_fusion_width, 1));
   {
     std::vector<std::future<void>> done;
-    if (width > 1) {
-      // Fused path: one pool task per block of `width` ids; each block's
-      // lattice searches are co-scheduled so coinciding OD evaluations
-      // share one engine pass (answers identical — see batch_frontier.h).
-      done.reserve((ids.size() + width - 1) / width);
-      for (size_t start = 0; start < ids.size(); start += width) {
-        const size_t count = std::min(width, ids.size() - start);
-        done.push_back(
-            pool_.SubmitWithResult([this, ids, start, count, &slots]() {
-              RunTimedBlock(ids.subspan(start, count), &slots, start);
-            }));
-      }
-    } else {
-      // Fusion disabled: the historical one-task-per-id path.
-      done.reserve(ids.size());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        const data::PointId id = ids[i];
-        done.push_back(pool_.SubmitWithResult([this, id, &slots, i]() {
-          slots[i] = RunTimedQuery(id);
-        }));
-      }
+    done.reserve((ids.size() + width - 1) / width);
+    for (size_t start = 0; start < ids.size(); start += width) {
+      const size_t count = std::min(width, ids.size() - start);
+      done.push_back(
+          pool_.SubmitWithResult([this, ids, start, count, &slots]() {
+            std::vector<Result<core::QueryResult>> block =
+                RunTimedBlock(ids.subspan(start, count));
+            for (size_t i = 0; i < count; ++i) {
+              slots[start + i] = std::move(block[i]);
+            }
+          }));
     }
     // Wait for every task before collecting: get() can rethrow a task's
     // exception, and unwinding with workers still writing into `slots`

@@ -35,8 +35,8 @@
 //    the intra-query search pool: a rebuild must take the epoch lock, and
 //    parking it on the search pool could deadlock — with a writer waiting,
 //    a reader-priority-blocked rebuild task at the head of the search
-//    queue would starve the frontier waves of an in-flight query that
-//    still holds the reader lock the writer is waiting out.
+//    queue would starve the kNN passes of an in-flight query that still
+//    holds the reader lock the writer is waiting out.
 //
 // The miner's kNN backend carries one SoA snapshot of the dataset (the
 // X-tree's is in leaf order), shared read-only by every worker, so OD
@@ -119,8 +119,9 @@ struct IngestConfig {
 /// off by default; the default-configured service pays only a null-pointer
 /// check per query.
 struct ObservabilityConfig {
-  /// Attach a QueryTrace (service → search → level → knn span tree) to
-  /// every QueryResult the service returns.
+  /// Attach a QueryTrace (service → search → dynamic → level → knn span
+  /// tree) to every QueryResult the service returns; a fused block's
+  /// results share one tree.
   bool trace_queries = false;
   /// When > 0, queries slower than this are counted (ServiceStatsSnapshot
   /// slow_queries) and their full trace is dumped to the log at Warning.
@@ -136,11 +137,12 @@ struct QueryServiceConfig {
   /// Worker threads executing queries.
   int num_threads = 4;
   /// Intra-query parallelism: when > 1, a second pool of this many threads
-  /// is shared by all in-flight queries for parallel frontier evaluation
-  /// (each lattice level's OD batch fans out across it). A separate pool —
-  /// never the query pool — because frontier waves block on their chunk
-  /// futures, and a pool waiting on itself deadlocks. Answers are
-  /// identical at any setting.
+  /// is shared by every in-flight block — QueryBatch's fused blocks and
+  /// the blocks of one behind Query / QueryAsync alike — and each round of
+  /// a block's lattice walk fans its kNN passes out across it
+  /// (QueryOptions::search_pool). A separate pool — never the query pool
+  /// — because a round blocks on its chunk futures, and a pool waiting on
+  /// itself deadlocks. Answers are identical at any setting.
   int search_threads = 1;
   /// When false, no cross-query OD cache is attached (each query still has
   /// OdEvaluator's per-query memo).
@@ -162,14 +164,15 @@ struct QueryServiceConfig {
   filter::FilterMode filter_mode = filter::FilterMode::kOff;
   /// Fused multi-query execution: QueryBatch splits each batch into blocks
   /// of at most this many ids and co-schedules every block's lattice
-  /// searches (HosMiner::QueryBatchFused → search::BatchFrontierRunner),
-  /// so OD evaluations coinciding on a subspace share one fused engine
-  /// pass; each block runs under one epoch reader lock and one sharded
-  /// OD-cache multi-probe per wave. Answers are bitwise identical to the
-  /// per-point path at any setting; <= 1 disables fusion (one pool task
-  /// per id, the historical behavior). On the fused path the per-query
-  /// latency and SearchCounters work stats are measured per *block*
-  /// (monitoring data — see the determinism note above).
+  /// walks (HosMiner::QueryBatchFused → search::BatchFrontierRunner), so
+  /// OD evaluations coinciding on a subspace share one fused engine pass;
+  /// each block runs as one pool task under one epoch reader lock and one
+  /// sharded OD-cache multi-probe per round. Answers are bitwise
+  /// identical to Query at any setting; <= 1 means blocks of one id (one
+  /// pool task per id, no fusion). The per-query latency and
+  /// SearchCounters work stats are measured per *block* (monitoring data
+  /// — see the determinism note above), and only blocks of two or more
+  /// count toward the fused-batch metrics.
   int batch_fusion_width = 16;
   /// Streaming-ingest rebuild policy.
   IngestConfig ingest;
@@ -191,8 +194,8 @@ class QueryService {
   ~QueryService();
 
   /// Executes all ids across the worker pool, in fused blocks of
-  /// config.batch_fusion_width (one co-scheduled lattice search per block;
-  /// width <= 1 falls back to one task per id). results[i] answers ids[i];
+  /// config.batch_fusion_width (one co-scheduled lattice walk per block;
+  /// width <= 1 runs blocks of one id). results[i] answers ids[i];
   /// answer content is identical to calling Query(ids[i]) serially. On any
   /// per-query error the first error in id order is returned instead.
   Result<std::vector<core::QueryResult>> QueryBatch(
@@ -272,25 +275,21 @@ class QueryService {
     core::QueryOptions options;
     options.od_store = od_store;
     options.search_pool = search_pool_.get();
-    options.search_threads = config_.search_threads;
     options.lattice_backend = config_.lattice_backend;
     options.max_od_evaluations = config_.max_od_evaluations;
     options.filter_mode = config_.filter_mode;
     return options;
   }
 
-  Result<core::QueryResult> RunTimedQuery(data::PointId id);
-
-  /// One fused block of QueryBatch: runs miner_.QueryBatchFused for
-  /// `ids` under one epoch reader lock (with the version-bound cache
-  /// view), records per-point stats (block latency) plus the fused-batch
-  /// counters/histogram, and writes each result into
-  /// (*slots)[base + i]. When tracing is on the block records one span
-  /// tree under a "batch" root span, attached to every successful result.
-  void RunTimedBlock(
-      std::span<const data::PointId> ids,
-      std::vector<std::optional<Result<core::QueryResult>>>* slots,
-      size_t base);
+  /// The one query path under Query, QueryAsync and QueryBatch: runs
+  /// miner_.QueryBatchFused for `ids` (one block; a single query is a block
+  /// of one) under one epoch reader lock with the version-bound cache
+  /// view, records per-point stats (block latency) plus, for blocks of two
+  /// or more, the fused-batch counters/histogram, and returns one result
+  /// per id. When tracing is on the block records one span tree under a
+  /// "service" root span, attached to every successful result.
+  std::vector<Result<core::QueryResult>> RunTimedBlock(
+      std::span<const data::PointId> ids);
 
   /// Appends (steady_clock::now(), current dataset version) to
   /// version_history_. Called at construction and after every append
@@ -375,7 +374,7 @@ class QueryService {
   /// not the trigger).
   std::atomic<bool> relearn_scheduled_{false};
 
-  /// Shared by every in-flight query's frontier waves; null when
+  /// Shared by every in-flight block's kNN passes; null when
   /// search_threads <= 1. Declared before the pools so workers die first.
   std::unique_ptr<ThreadPool> search_pool_;
   /// Dedicated single-thread worker for background rebuilds and

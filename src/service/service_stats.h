@@ -108,8 +108,9 @@ struct ServiceStatsSnapshot {
 
   // Fused multi-query execution counters (zero when batch fusion is
   // disabled or QueryBatch was never called).
-  /// Queries served through the fused batch path (co-scheduled lattice
-  /// searches sharing engine passes), as opposed to one-task-per-id.
+  /// Queries served in blocks of two or more (co-scheduled lattice walks
+  /// sharing engine passes); blocks of one — Query, QueryAsync and
+  /// QueryBatch at batch_fusion_width <= 1 — do not count.
   uint64_t batched_queries = 0;
   /// Fresh OD evaluations those queries spent through the fused
   /// multi-point engine passes.
@@ -160,10 +161,12 @@ class ServiceStats {
   /// Records one committed learning refresh.
   void RecordRelearn() { relearns_completed_->Increment(); }
 
-  /// Records one fused query block: how many points were co-scheduled
-  /// (also fed to the service_batch_size histogram, so the registry shows
-  /// the effective fusion-width distribution) and the fresh OD evaluations
-  /// the block spent through the fused engine passes.
+  /// Records one fused query block of two or more points (a block of one
+  /// shares no engine pass, so QueryService does not record it): how many
+  /// points were co-scheduled (also fed to the service_batch_size
+  /// histogram, so the registry shows the effective fusion-width
+  /// distribution) and the fresh OD evaluations the block spent through
+  /// the fused engine passes.
   void RecordFusedBatch(uint64_t points, uint64_t fused_evaluations) {
     batched_queries_->Increment(points);
     if (fused_evaluations > 0) {

@@ -87,7 +87,6 @@ TEST(GoldenQueryTest, ParallelSearchMatchesGoldenByteForByte) {
   service::ThreadPool search_pool(4);
   core::QueryOptions options;
   options.search_pool = &search_pool;
-  options.search_threads = 4;
   auto result = miner->Query(kPlantedId, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   result->outcome.counters.elapsed_seconds = 0.0;

@@ -2,7 +2,8 @@
 // query answers — bitwise-identical outcomes and order-independent work
 // counters, across every kNN backend and both lattice stores — and the
 // trace that comes back must name every span level (service → search →
-// strategy → level → knn / od_store_hit).
+// strategy → level → knn), one vocabulary for single queries and fused
+// blocks alike.
 //
 // Also covers the service-level integration: traced batches through
 // QueryService (worker pool × shared search pool, the TSan shape), the
@@ -155,20 +156,21 @@ TEST(TraceDifferentialTest, ServiceTracingMatchesUntracedService) {
     EXPECT_EQ(a.outcome.outlier_fraction, e.outcome.outlier_fraction);
 
     // QueryBatch runs fused blocks by default, so each result carries the
-    // block's shared span tree: batch -> search -> batch-dynamic -> wave
-    // -> knn-batch (store hits resolve silently inside the wave).
+    // block's shared span tree — the same vocabulary a single query
+    // records: service -> search -> dynamic -> level -> knn (store hits
+    // resolve silently inside the level).
     ASSERT_NE(a.trace, nullptr);
     EXPECT_EQ(e.trace, nullptr);
-    const obs::TraceSpan* root = a.trace->Find("batch");
+    const obs::TraceSpan* root = a.trace->Find("service");
     ASSERT_NE(root, nullptr);
     EXPECT_EQ(root->parent, -1);
     const obs::TraceSpan* search = a.trace->Find("search");
     ASSERT_NE(search, nullptr);
     EXPECT_EQ(search->parent, root->id);
-    const obs::TraceSpan* strategy = a.trace->Find("batch-dynamic");
+    const obs::TraceSpan* strategy = a.trace->Find("dynamic");
     ASSERT_NE(strategy, nullptr);
     EXPECT_EQ(strategy->parent, search->id);
-    EXPECT_GT(a.trace->CountByName("knn-batch"), 0u);
+    EXPECT_GT(a.trace->CountByName("knn"), 0u);
   }
 
   // Aggregates reached the stats surface.

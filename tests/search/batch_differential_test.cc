@@ -2,28 +2,35 @@
 // co-scheduling a block of lattice searches (search::BatchFrontierRunner,
 // surfaced as core::HosMiner::QueryBatchFused / ScreenBatch) is an
 // execution detail, not a semantic change. Every fused result is held to
-// the sequential per-point loop field by field — identical minimal
-// outlying subspaces, the order-sensitive evaluated_outliers list, bitwise
-// outlier fractions and OD values, and identical lattice-derived work
-// counters — across kNN backends {linear scan, X-tree}, lattice stores
-// {dense, sparse}, density-filter modes {kOff, kConservative}, planted and
-// adversarial datasets, mixed valid/invalid id slots, and per-point budget
-// exhaustion.
+// the per-point walk (the same runner at a block of one) field by field —
+// identical minimal outlying subspaces, the order-sensitive
+// evaluated_outliers list, bitwise outlier fractions and OD values, and
+// identical lattice-derived work counters — and, because both sides share
+// the runner, to the independent ExhaustiveSearch oracle as well. Covered:
+// kNN backends {linear scan, X-tree}, lattice stores {dense, sparse},
+// density-filter modes {kOff, kConservative}, a 4-thread search pool vs
+// none, planted and adversarial datasets, mixed valid/invalid id slots,
+// and per-point budget exhaustion.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/hos_miner.h"
 #include "src/data/generator.h"
+#include "src/filter/density_filter.h"
+#include "src/filter/density_summary.h"
 #include "src/knn/linear_scan.h"
 #include "src/lattice/saving_factors.h"
 #include "src/search/batch_frontier.h"
 #include "src/search/od_evaluator.h"
 #include "src/search/subspace_search.h"
+#include "src/service/thread_pool.h"
 #include "tests/testutil/adversarial_gen.h"
 
 namespace hos::search {
@@ -52,6 +59,47 @@ void ExpectOutcomeIdentical(const SearchOutcome& fused,
             sequential.counters.bound_decisions);
 }
 
+/// The independent reference: the runner's answer for a point must be the
+/// ExhaustiveSearch oracle's — which evaluates every subspace through
+/// OdEvaluator::Evaluate and shares no code with the runner. Same minimal
+/// subspaces and outlier fractions; every subspace the runner evaluated as
+/// an outlier is one of the oracle's.
+void ExpectMatchesOracle(const SearchOutcome& outcome,
+                         const SearchOutcome& oracle,
+                         const std::string& context) {
+  SCOPED_TRACE(context);
+  EXPECT_EQ(outcome.minimal_outlying_subspaces,
+            oracle.minimal_outlying_subspaces);
+  EXPECT_EQ(outcome.outlier_fraction, oracle.outlier_fraction);
+  for (const Subspace& s : outcome.evaluated_outliers) {
+    EXPECT_NE(std::find(oracle.evaluated_outliers.begin(),
+                        oracle.evaluated_outliers.end(), s),
+              oracle.evaluated_outliers.end())
+        << "subspace mask " << s.mask();
+  }
+}
+
+/// Outcome of the exhaustive oracle for dataset row `id`.
+SearchOutcome OracleOutcome(const knn::KnnEngine& engine,
+                            const data::Dataset& ds, data::PointId id, int k,
+                            double threshold) {
+  OdEvaluator od(engine, ds.Row(id), k, id);
+  auto oracle = ExhaustiveSearch(ds.num_dims()).Run(&od, threshold);
+  EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+  return std::move(oracle).value();
+}
+
+/// All masks `od` memoised, with their values.
+std::vector<std::pair<uint64_t, double>> MemoisedValues(const OdEvaluator& od,
+                                                        int d) {
+  std::vector<std::pair<uint64_t, double>> out;
+  for (uint64_t mask = 1; mask < (uint64_t{1} << d); ++mask) {
+    double value;
+    if (od.LookupLocal(mask, &value)) out.emplace_back(mask, value);
+  }
+  return out;
+}
+
 data::GeneratedData MakePlanted(uint64_t seed, int d) {
   Rng rng(seed);
   data::SubspaceOutlierSpec spec;
@@ -68,8 +116,9 @@ data::GeneratedData MakePlanted(uint64_t seed, int d) {
 }
 
 // Direct runner-level differential: BatchFrontierRunner against
-// DynamicSubspaceSearch per point, over both lattice backends and batch
-// sizes from 1 to well past the planted outlier count.
+// DynamicSubspaceSearch per point (the runner at a block of one) and
+// against the ExhaustiveSearch oracle, over both lattice backends and
+// batch sizes from 1 to well past the planted outlier count.
 TEST(BatchFrontierTest, RunnerMatchesSequentialDynamicSearch) {
   const int d = 7;
   auto generated = MakePlanted(9001, d);
@@ -109,6 +158,11 @@ TEST(BatchFrontierTest, RunnerMatchesSequentialDynamicSearch) {
         ASSERT_TRUE(fused[b].ok()) << fused[b].status().ToString();
         ExpectOutcomeIdentical(fused[b].value(), seq.value(),
                                "point " + std::to_string(b));
+        // Both sides above run the same runner, so hold it to the oracle
+        // too.
+        ExpectMatchesOracle(fused[b].value(),
+                            OracleOutcome(engine, ds, id, kK, kThreshold),
+                            "point " + std::to_string(b) + " vs oracle");
         // The fused evaluator memoised exactly the sequential masks with
         // exactly the sequential doubles.
         const uint64_t lattice_top = (uint64_t{1} << d) - 1;
@@ -120,6 +174,71 @@ TEST(BatchFrontierTest, RunnerMatchesSequentialDynamicSearch) {
           ASSERT_EQ(fused_has, seq_has) << "mask " << mask;
           if (fused_has) ASSERT_EQ(fused_value, seq_value) << "mask " << mask;
         }
+      }
+    }
+  }
+}
+
+// Intra-query parallelism reaches the fused path: with a 4-thread pool the
+// runner fans each round's kNN passes out across it, and every outcome —
+// counters included — and every evaluator's memo must equal the runner's
+// sequential run, for a block of one and for fused blocks, with the
+// density filter off and on.
+TEST(BatchFrontierTest, PoolMatchesSequentialRunner) {
+  const int d = 7;
+  auto generated = MakePlanted(9004, d);
+  const data::Dataset& ds = generated.dataset;
+  knn::LinearScanKnn engine(ds, knn::MetricKind::kL2);
+  const filter::DensityBoundFilter filter(
+      ds, knn::MetricKind::kL2,
+      filter::DensitySummary::Build(ds, /*bits_per_dim=*/8));
+  const lattice::PruningPriors priors = lattice::PruningPriors::Flat(d);
+  const BatchFrontierRunner runner(d, &priors);
+  service::ThreadPool pool(4);
+  constexpr int kK = 4;
+  constexpr double kThreshold = 0.9;
+
+  for (filter::FilterMode mode :
+       {filter::FilterMode::kOff, filter::FilterMode::kConservative}) {
+    for (size_t batch : {1u, 5u, 16u}) {
+      SCOPED_TRACE("filter=" + std::to_string(static_cast<int>(mode)) +
+                   " batch=" + std::to_string(batch));
+      std::vector<data::PointId> ids;
+      for (size_t b = 0; b < batch; ++b) {
+        ids.push_back(static_cast<data::PointId>(b * 17 % ds.size()));
+      }
+      ids.back() = generated.outliers[0].id;
+
+      std::vector<OdEvaluator> seq_evaluators, pool_evaluators;
+      std::vector<OdEvaluator*> seq_pointers, pool_pointers;
+      seq_evaluators.reserve(batch);
+      pool_evaluators.reserve(batch);
+      for (data::PointId id : ids) {
+        seq_evaluators.emplace_back(engine, ds.Row(id), kK, id);
+        seq_pointers.push_back(&seq_evaluators.back());
+        pool_evaluators.emplace_back(engine, ds.Row(id), kK, id);
+        pool_pointers.push_back(&pool_evaluators.back());
+      }
+      SearchExecution exec;
+      exec.filter = &filter;
+      exec.filter_mode = mode;
+      auto sequential = runner.Run(seq_pointers, kThreshold, exec);
+      exec.pool = &pool;
+      auto pooled = runner.Run(pool_pointers, kThreshold, exec);
+      ASSERT_EQ(pooled.size(), batch);
+
+      for (size_t b = 0; b < batch; ++b) {
+        const std::string context = "point " + std::to_string(ids[b]);
+        ASSERT_TRUE(sequential[b].ok()) << sequential[b].status().ToString();
+        ASSERT_TRUE(pooled[b].ok()) << pooled[b].status().ToString();
+        ExpectOutcomeIdentical(pooled[b].value(), sequential[b].value(),
+                               context);
+        EXPECT_EQ(MemoisedValues(pool_evaluators[b], d),
+                  MemoisedValues(seq_evaluators[b], d))
+            << context;
+        EXPECT_EQ(pool_evaluators[b].num_evaluations(),
+                  seq_evaluators[b].num_evaluations())
+            << context;
       }
     }
   }
@@ -220,6 +339,13 @@ TEST_P(QueryBatchFusedTest, MatchesPerPointQueries) {
 
   const uint64_t lattice =
       (uint64_t{1} << static_cast<unsigned>(miner->num_dims())) - 1;
+  // The oracle runs on the linear scan whatever the miner's backend.
+  const knn::LinearScanKnn oracle_engine(miner->dataset(), config.metric);
+  std::vector<SearchOutcome> oracles;
+  for (data::PointId id : ids) {
+    oracles.push_back(OracleOutcome(oracle_engine, miner->dataset(), id,
+                                    config.k, miner->threshold()));
+  }
   for (lattice::LatticeBackend backend :
        {lattice::LatticeBackend::kDense, lattice::LatticeBackend::kSparse}) {
     // Filter-off answers of this backend, for the conservative ≡ off check.
@@ -241,6 +367,10 @@ TEST_P(QueryBatchFusedTest, MatchesPerPointQueries) {
         const SearchOutcome& outcome = fused[i].value().outcome;
         ExpectOutcomeIdentical(outcome, seq->outcome,
                                "id " + std::to_string(ids[i]));
+        // Query and QueryBatchFused run the same runner; the oracle is the
+        // independent reference.
+        ExpectMatchesOracle(outcome, oracles[i],
+                            "id " + std::to_string(ids[i]) + " vs oracle");
         EXPECT_EQ(fused[i].value().dataset_version, seq->dataset_version);
         if (mode == filter::FilterMode::kOff) {
           off_outcomes[i] = outcome;

@@ -1,6 +1,7 @@
 // Service-level suite for fused multi-query execution: QueryBatch with
-// batch fusion on must return exactly what the historical one-task-per-id
-// path (batch_fusion_width <= 1) and a serial per-point Query loop return;
+// batch fusion on must return exactly what blocks of one id
+// (batch_fusion_width <= 1) and a serial per-point Query loop return, at
+// any search-pool width;
 // the fused path's metrics (batched_queries, batch_fused_evaluations, the
 // batch-size histogram) must account for the fused blocks; error slots
 // surface the first error in id order; and — the TSan case — concurrent
@@ -51,7 +52,7 @@ void ExpectSameAnswer(const core::QueryResult& a, const core::QueryResult& b,
 }
 
 // The core service equivalence: fused blocks (several widths, including
-// one that does not divide the batch) versus the width<=1 historical path
+// one that does not divide the batch) versus width<=1 blocks of one
 // versus a serial Query loop. Cache off so even the od_evaluations
 // counters must line up with the serial loop.
 TEST(BatchServiceTest, FusedBatchIdenticalToUnfusedAndSerial) {
@@ -129,6 +130,45 @@ TEST(BatchServiceTest, FusedBatchWithCacheAnswersExactly) {
   EXPECT_EQ(service.Stats().batched_queries, ids.size());
 }
 
+// QueryServiceConfig::search_threads reaches the fused blocks: a 4-thread
+// search pool fans every round's kNN passes out, and the answers must be
+// the single-threaded service's. Cache off, so the per-point work counters
+// must agree as well.
+TEST(BatchServiceTest, SearchPoolServesFusedBlocksIdentically) {
+  // Every row, so the planted outliers' multi-level walks are included.
+  std::vector<data::PointId> ids(BuildMiner(26).dataset().size());
+  std::iota(ids.begin(), ids.end(), 0);
+
+  std::vector<core::QueryResult> expected;
+  for (int search_threads : {1, 4}) {
+    SCOPED_TRACE("search_threads=" + std::to_string(search_threads));
+    QueryServiceConfig config;
+    config.num_threads = 2;
+    config.search_threads = search_threads;
+    config.enable_od_cache = false;
+    config.batch_fusion_width = 16;
+    QueryService service(BuildMiner(26), config);
+
+    auto batch = service.QueryBatch(ids);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->size(), ids.size());
+    EXPECT_EQ(service.Stats().batched_queries, ids.size());
+    if (search_threads == 1) {
+      expected = std::move(batch).value();
+      continue;
+    }
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ExpectSameAnswer((*batch)[i], expected[i], i);
+      EXPECT_EQ((*batch)[i].outcome.counters.od_evaluations,
+                expected[i].outcome.counters.od_evaluations)
+          << "query " << i;
+      EXPECT_EQ((*batch)[i].outcome.counters.steps,
+                expected[i].outcome.counters.steps)
+          << "query " << i;
+    }
+  }
+}
+
 TEST(BatchServiceTest, FirstErrorInIdOrderWins) {
   QueryServiceConfig config;
   config.batch_fusion_width = 4;
@@ -151,13 +191,13 @@ TEST(BatchServiceTest, TracedFusedBatchSharesOneSpanTree) {
   auto batch = service.QueryBatch(ids);
   ASSERT_TRUE(batch.ok());
   ASSERT_FALSE(batch->empty());
-  // One shared trace per block, rooted at the "batch" span.
+  // One shared trace per block, rooted at the "service" span.
   ASSERT_NE((*batch)[0].trace, nullptr);
   for (const auto& result : *batch) {
     EXPECT_EQ(result.trace, (*batch)[0].trace);
   }
-  EXPECT_NE((*batch)[0].trace->Find("batch"), nullptr);
-  EXPECT_NE((*batch)[0].trace->Find("batch-dynamic"), nullptr);
+  EXPECT_NE((*batch)[0].trace->Find("service"), nullptr);
+  EXPECT_NE((*batch)[0].trace->Find("dynamic"), nullptr);
 }
 
 // The TSan case: fused batches from several client threads race appends
