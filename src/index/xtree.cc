@@ -224,8 +224,8 @@ Status XTree::Insert(data::PointId id) {
         "inserting appended row " + std::to_string(id) +
         " ahead of the delta boundary " + std::to_string(base_rows_) +
         " would leave earlier appended rows covered by neither the tree "
-        "nor the delta scan; insert appended rows in order (or use "
-        "Rebuild to fold the whole delta)");
+        "nor the delta scan; insert appended rows in order (or bulk-load "
+        "a new tree to fold the whole delta)");
   }
   view_.reset();  // snapshot may no longer cover the inserted row
   if (static_cast<size_t>(id) == base_rows_) ++base_rows_;
@@ -507,27 +507,6 @@ void XTree::RefreshKernelView() {
       kernels::DatasetView::BuildInOrder(*dataset_, order, base_rows_));
 }
 
-Status XTree::Rebuild() {
-  auto built = BulkLoad(*dataset_, metric_, config_);
-  if (!built.ok()) return built.status();
-  // Preserve the monotonic query tallies across the swap so monitoring
-  // deltas computed around a rebuild stay meaningful.
-  const uint64_t dist = distance_count_;
-  const uint64_t nodes = node_access_count_;
-  const uint64_t stale = stale_fallbacks_;
-  const uint64_t kernel = kernel_scans_;
-  const uint64_t scalar = scalar_scans_;
-  const uint64_t merges = delta_merges_;
-  *this = std::move(built).value();
-  distance_count_ = dist;
-  node_access_count_ = nodes;
-  stale_fallbacks_ = stale;
-  kernel_scans_ = kernel;
-  scalar_scans_ = scalar;
-  delta_merges_ = merges;
-  return Status::OK();
-}
-
 Result<XTree> XTree::BuildByInsertion(const data::Dataset& dataset,
                                       knn::MetricKind metric,
                                       XTreeConfig config) {
@@ -656,142 +635,14 @@ Result<XTree> XTree::BulkLoad(
 // Queries
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct QueueItem {
-  double dist;
-  bool is_point;
-  data::PointId pid;
-  const XTree::Node* node;
-};
-
-// Min-heap ordering over (dist, nodes-before-points, id): nodes pop before
-// equal-distance points so ties are resolved exactly like the linear scan.
-struct QueueGreater {
-  bool operator()(const QueueItem& a, const QueueItem& b) const {
-    if (a.dist != b.dist) return a.dist > b.dist;
-    if (a.is_point != b.is_point) return a.is_point && !b.is_point;
-    return a.pid > b.pid;
-  }
-};
-
-}  // namespace
-
 const kernels::DatasetView* XTree::kernel_view() const {
   return knn::GateKernelView(view_, *dataset_, base_rows_,
                              &stale_fallbacks_, "XTree");
 }
 
 std::vector<knn::Neighbor> XTree::Knn(const knn::KnnQuery& query) const {
-  std::vector<knn::Neighbor> out = KnnBase(query);
-  // Exact merge of the append delta: the k smallest (distance, id) of
-  // base ∪ delta are the k smallest of (base top-k) ∪ delta.
-  const auto live = static_cast<data::PointId>(dataset_->size());
-  if (live > base_rows_ && query.k > 0) {
-    ++delta_merges_;
-    kernels::TopKCollector merged(static_cast<size_t>(query.k));
-    for (const knn::Neighbor& n : out) merged.Offer(n.id, n.distance);
-    distance_count_ += knn::DeltaScanTopK(
-        *dataset_, metric_, query.point, query.subspace,
-        static_cast<data::PointId>(base_rows_), live, query.exclude, &merged);
-    return merged.TakeSorted();
-  }
-  return out;
-}
-
-std::vector<knn::Neighbor> XTree::KnnBase(const knn::KnnQuery& query) const {
-  std::vector<knn::Neighbor> out;
-  if (root_ == nullptr || query.k <= 0) return out;
-  out.reserve(query.k);
-
-  std::priority_queue<QueueItem, std::vector<QueueItem>, QueueGreater> heap;
-  heap.push({root_->mbr.MinDistance(query.point, query.subspace, metric_),
-             false, 0, root_.get()});
-
-  // Kernel path state: leaf points flow through the batched kernel, with
-  // `seen` tracking the k smallest (distance, id) point tuples enqueued so
-  // far. A leaf candidate proven strictly farther than seen.bound() can
-  // never displace those k tuples from the final answer, so it is safe to
-  // drop instead of enqueue — the best-first pop order of the survivors is
-  // unchanged.
-  const kernels::DatasetView* view = kernel_view();
-  if (view != nullptr) {
-    ++kernel_scans_;
-  } else {
-    ++scalar_scans_;
-  }
-  // Rows tombstoned after the tree was built are still in its leaves;
-  // filter them before they can enter the candidate heap (so they neither
-  // reach the answer nor tighten the seen-bound).
-  const bool filter_dead = dataset_->num_tombstones() > 0;
-  const std::vector<int> dims = query.subspace.Dims();
-  kernels::TopKCollector seen(static_cast<size_t>(query.k));
-  double leaf_dist[kernels::kDistanceBlock];
-  std::vector<double> child_dist;
-
-  while (!heap.empty()) {
-    QueueItem item = heap.top();
-    heap.pop();
-    if (item.is_point) {
-      out.push_back({item.pid, item.dist});
-      if (static_cast<int>(out.size()) == query.k) break;
-      continue;
-    }
-    const Node* node = item.node;
-    ++node_access_count_;
-    if (node->is_leaf) {
-      if (view != nullptr) {
-        // The leaf's points are contiguous in the snapshot; the excluded
-        // id (at most once per leaf) splits them into two runs.
-        const std::vector<data::PointId>& pts = node->points;
-        const size_t skip =
-            query.exclude
-                ? static_cast<size_t>(
-                      std::find(pts.begin(), pts.end(), *query.exclude) -
-                      pts.begin())
-                : pts.size();
-        const auto scan_run = [&](size_t lo, size_t hi) {
-          for (size_t start = lo; start < hi;
-               start += kernels::kDistanceBlock) {
-            const size_t m = std::min(kernels::kDistanceBlock, hi - start);
-            kernels::BatchedSubspaceDistanceRange(
-                *view, query.point, dims, metric_,
-                static_cast<data::PointId>(node->snapshot_offset + start), m,
-                seen.bound(), {leaf_dist, m});
-            distance_count_ += m;
-            for (size_t j = 0; j < m; ++j) {
-              if (leaf_dist[j] == kernels::kPrunedDistance) continue;
-              const data::PointId id = pts[start + j];
-              if (filter_dead && !dataset_->IsLive(id)) continue;
-              heap.push({leaf_dist[j], true, id, nullptr});
-              seen.Offer(id, leaf_dist[j]);
-            }
-          }
-        };
-        scan_run(0, skip);
-        if (skip < pts.size()) scan_run(skip + 1, pts.size());
-      } else {
-        for (data::PointId id : node->points) {
-          if (query.exclude && *query.exclude == id) continue;
-          if (filter_dead && !dataset_->IsLive(id)) continue;
-          double dist = knn::SubspaceDistance(query.point, dataset_->Row(id),
-                                              query.subspace, metric_);
-          ++distance_count_;
-          heap.push({dist, true, id, nullptr});
-        }
-      }
-    } else {
-      const size_t count = node->children.size();
-      child_dist.resize(count);
-      kernels::BoxMinDistances(node->child_lo.data(), node->child_hi.data(),
-                               count, query.point, dims, metric_,
-                               child_dist.data());
-      for (size_t c = 0; c < count; ++c) {
-        heap.push({child_dist[c], false, 0, node->children[c].get()});
-      }
-    }
-  }
-  return out;
+  const knn::BatchPointQuery point{query.point, query.exclude};
+  return std::move(KnnBatch({&point, 1}, query.subspace, query.k).front());
 }
 
 std::vector<std::vector<knn::Neighbor>> XTree::KnnBatch(
@@ -800,18 +651,21 @@ std::vector<std::vector<knn::Neighbor>> XTree::KnnBatch(
   const size_t nb = points.size();
   std::vector<std::vector<knn::Neighbor>> results(nb);
   if (nb == 0 || k <= 0) return results;
-  const kernels::DatasetView* view = kernel_view();
-  if (view == nullptr || root_ == nullptr) {
-    // Scalar fallback (or empty tree): the per-point query loop.
-    for (size_t q = 0; q < nb; ++q) {
-      results[q] = Knn({points[q].point, subspace, k, points[q].exclude});
+  // Leaves are scanned through the leaf-ordered snapshot when it can serve,
+  // else over the dataset rows (the scalar path); an empty tree leaves only
+  // the delta merge.
+  const kernels::DatasetView* view = nullptr;
+  if (root_ != nullptr) {
+    view = kernel_view();
+    if (view != nullptr) {
+      kernel_scans_ += nb;
+    } else {
+      scalar_scans_ += nb;
     }
-    return results;
   }
 
-  kernel_scans_ += nb;
   // Tombstoned rows are still in the leaves; the collectors reject them at
-  // admission, exactly like the sequential path's pre-offer filter.
+  // admission.
   const data::Dataset* live_filter =
       dataset_->num_tombstones() > 0 ? dataset_ : nullptr;
   std::vector<kernels::TopKCollector> collectors;
@@ -874,13 +728,15 @@ std::vector<std::vector<knn::Neighbor>> XTree::KnnBatch(
     if (count == 0) return;
     heap.push({key, node, offset, count});
   };
-  std::vector<uint32_t> all(nb);
-  std::vector<double> root_dist(nb);
-  for (size_t q = 0; q < nb; ++q) {
-    all[q] = static_cast<uint32_t>(q);
-    root_dist[q] = root_->mbr.MinDistance(points[q].point, subspace, metric_);
+  if (root_ != nullptr) {
+    std::vector<uint32_t> all(nb);
+    std::vector<double> root_dist(nb);
+    for (size_t q = 0; q < nb; ++q) {
+      all[q] = static_cast<uint32_t>(q);
+      root_dist[q] = root_->mbr.MinDistance(points[q].point, subspace, metric_);
+    }
+    push_node(root_.get(), all.data(), all.size(), root_dist.data(), 1);
   }
-  push_node(root_.get(), all.data(), all.size(), root_dist.data(), 1);
 
   const std::vector<int> dims = subspace.Dims();
   std::vector<kernels::MultiPointQuery> active;
@@ -902,9 +758,23 @@ std::vector<std::vector<knn::Neighbor>> XTree::KnnBatch(
     ++node_access_count_;
     const Node* node = item.node;
     if (node->is_leaf) {
-      distance_count_ += kernels::ScanRangeForTopKMulti(
-          *view, active, dims, metric_,
-          static_cast<data::PointId>(node->snapshot_offset), node->points);
+      // Every leaf position counts as examined for each active query, its
+      // excluded row included, on both paths.
+      if (view != nullptr) {
+        distance_count_ += kernels::ScanRangeForTopKMulti(
+            *view, active, dims, metric_,
+            static_cast<data::PointId>(node->snapshot_offset), node->points);
+      } else {
+        for (const uint32_t q : active_members) {
+          for (const data::PointId id : node->points) {
+            if (points[q].exclude == id) continue;
+            collectors[q].Offer(
+                id, knn::SubspaceDistance(points[q].point, dataset_->Row(id),
+                                          subspace, metric_));
+          }
+        }
+        distance_count_ += active_members.size() * node->points.size();
+      }
     } else {
       const size_t count = node->children.size();
       child_dist.resize(active_members.size() * count);

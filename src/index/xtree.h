@@ -7,7 +7,9 @@
 // This is the paper's indexing module (Fig. 2, "X-tree Indexing"): the tree
 // indexes the full-dimensional dataset once, and answers exact kNN queries
 // in *any* subspace, because an MBR min-distance restricted to the
-// subspace's dimensions remains a valid lower bound.
+// subspace's dimensions remains a valid lower bound. Every kNN query, one
+// point or many, runs one shared best-first traversal (KnnBatch; Knn is a
+// batch of one).
 //
 // Query-time layout. Traversal and leaf scans read contiguous memory:
 //  * every directory node holds its children's boxes as two dimension-major
@@ -27,7 +29,8 @@
 //    merged by the delta scan, and an in-place overwrite since the
 //    snapshot sends leaf scans to the scalar row path (counted in
 //    stale_fallbacks()). Insert and Remove drop it, and the scalar row path
-//    serves until RefreshKernelView.
+//    serves until RefreshKernelView. Both leaf scans offer the same doubles
+//    to the same collectors, so they answer and count identically.
 //
 // Implementation notes (documented deviations from the original papers):
 //  * Splits use the R*-tree topological split (minimum-margin axis, then
@@ -129,34 +132,31 @@ class XTree {
   /// concurrent queries, like any tree mutation.
   void RefreshKernelView();
 
-  /// Streaming-ingest rebuild: re-bulk-loads the tree (and its snapshot)
-  /// over all current dataset rows, folding the append delta back into the
-  /// index. Query counters survive the rebuild. Not thread-safe with
-  /// concurrent queries.
-  Status Rebuild();
-
   /// Rows covered by the tree itself; rows appended after the tree was
-  /// (re)built — [base_rows(), dataset.size()) — are the delta, which Knn
-  /// and RangeSearch merge in exactly via a scalar scan.
+  /// built — [base_rows(), dataset.size()) — are the delta, which Knn and
+  /// RangeSearch merge in exactly via a scalar scan. Folding the delta into
+  /// the index means bulk-loading a new tree (HosMiner::PrepareRebuild).
   size_t base_rows() const { return base_rows_; }
 
   /// Queries that fell back to scalar leaf scans although a snapshot was
   /// attached (in-place overwrite since the snapshot was taken).
   uint64_t stale_fallbacks() const { return stale_fallbacks_; }
 
-  /// Exact k nearest neighbours in `query.subspace` (best-first search).
-  /// Ordering matches LinearScanKnn: ascending (distance, id).
+  /// Exact k nearest neighbours in `query.subspace`: KnnBatch for a batch
+  /// of one. Ordering matches LinearScanKnn: ascending (distance, id).
   std::vector<knn::Neighbor> Knn(const knn::KnnQuery& query) const;
 
   /// Batched exact kNN for B query points sharing one subspace and k: a
   /// single shared best-first traversal ordered by the batch-minimum MBR
   /// distance. Each queue entry carries per-point min-distances; a node is
   /// expanded when at least one point's collector could still admit a
-  /// point from it, and leaves are scanned once through the fused
-  /// multi-point kernel into per-point collectors. A subtree is skipped
+  /// point from it, and leaves are scanned once into per-point collectors
+  /// (the fused multi-point kernel over the snapshot, or the scalar metric
+  /// over the dataset rows when no snapshot serves). A subtree is skipped
   /// for a point only when its min-distance strictly exceeds that point's
   /// full-collector bound — provably outside the answer — so results[i]
-  /// is bitwise identical to Knn({points[i], subspace, k, excludes[i]}).
+  /// is bitwise identical to LinearScanKnn::Search({points[i], subspace,
+  /// k, excludes[i]}).
   std::vector<std::vector<knn::Neighbor>> KnnBatch(
       std::span<const knn::BatchPointQuery> points, const Subspace& subspace,
       int k) const;
@@ -170,7 +170,10 @@ class XTree {
   knn::MetricKind metric() const { return metric_; }
   const XTreeConfig& config() const { return config_; }
 
-  /// Point-to-point distance computations performed by queries so far.
+  /// Point-to-point distance computations performed by queries so far. A
+  /// kNN leaf scan counts every leaf position it examines for a query, the
+  /// query's excluded row included, on the kernel and the scalar path
+  /// alike; the delta scan counts the rows it compares.
   uint64_t distance_computations() const { return distance_count_; }
   /// Tree nodes visited by queries so far.
   uint64_t node_accesses() const { return node_access_count_; }
@@ -198,10 +201,6 @@ class XTree {
                        std::vector<data::PointId>* orphans, bool* found);
   static void CollectPoints(const Node* node,
                             std::vector<data::PointId>* out);
-
-  /// Best-first kNN over the tree (the base rows only); Knn merges the
-  /// append delta into its result.
-  std::vector<knn::Neighbor> KnnBase(const knn::KnnQuery& query) const;
 
   Node* ChooseSubtree(Node* node, std::span<const double> point) const;
   /// Inserts into the subtree; returns a new sibling when `node` split.

@@ -57,6 +57,11 @@ struct BatchPointQuery {
 struct KnnBackendStats {
   /// Implementation name: "linear_scan" or "xtree".
   std::string backend;
+  /// Point-to-point distances examined. The X-tree counts every leaf
+  /// position its kNN scans examine for a query, the query's excluded
+  /// (self) row included, on its kernel and scalar paths alike; the linear
+  /// scan skips the excluded row. Both count the append-delta rows they
+  /// compare, which never include the excluded row.
   uint64_t distance_computations = 0;
   /// X-tree nodes touched (0 for the linear scan).
   uint64_t node_accesses = 0;

@@ -16,13 +16,6 @@ LinearScanKnn::LinearScanKnn(const data::Dataset& dataset, MetricKind metric,
   }
 }
 
-void LinearScanKnn::Rebuild(
-    std::shared_ptr<const kernels::DatasetView> view) {
-  view_ = view != nullptr ? std::move(view)
-                          : std::make_shared<const kernels::DatasetView>(
-                                kernels::DatasetView::Build(dataset_));
-}
-
 std::vector<Neighbor> LinearScanKnn::Search(const KnnQuery& query) const {
   const size_t k = static_cast<size_t>(std::max(query.k, 0));
   if (k == 0) return {};

@@ -11,8 +11,8 @@
 // Streaming ingest: the snapshot is the engine's immutable *base*. Rows
 // appended to the dataset afterwards (the delta) are merged in exactly via
 // a scalar sweep (knn/delta_scan.h), so the engine keeps answering
-// correctly while the dataset grows; Rebuild() re-snapshots to fold the
-// delta back into the kernel path. The full-scalar fallback now only
+// correctly while the dataset grows; folding the delta back into the
+// kernel path means constructing a new engine. The full-scalar fallback only
 // serves when the base itself was invalidated by an in-place overwrite —
 // taking it is counted and logged (stale_fallbacks()).
 
@@ -54,11 +54,6 @@ class LinearScanKnn : public KnnEngine {
   std::vector<std::vector<Neighbor>> SearchBatch(
       std::span<const BatchPointQuery> points, const Subspace& subspace,
       int k) const override;
-
-  /// Re-snapshots the SoA base to cover all current dataset rows (sharing
-  /// `view` when given, building a private one when null), emptying the
-  /// delta. Not thread-safe with concurrent queries.
-  void Rebuild(std::shared_ptr<const kernels::DatasetView> view = nullptr);
 
   size_t size() const override { return dataset_.size(); }
   MetricKind metric() const override { return metric_; }

@@ -3,7 +3,9 @@
 // traversal — KnnBatch/SearchBatch must return, for every query point,
 // exactly the neighbour list (same ids, same distance doubles, same order)
 // its per-point Knn/Search call returns, and OutlyingDegreeBatch must
-// reproduce per-point OutlyingDegree bitwise.
+// reproduce per-point OutlyingDegree bitwise. The X-tree serves both forms
+// through one traversal, so its arms are also checked against an
+// independent oracle: a linear scan over the same dataset.
 // Covered across batch sizes straddling the kernel's query block, ks,
 // self-exclusions, appended delta rows and tombstones.
 
@@ -52,9 +54,11 @@ std::vector<BatchPointQuery> MakeBatch(const data::Dataset& ds, size_t batch,
 }
 
 /// Exercises one engine: SearchBatch against per-point Search, and the OD
-/// batch wrapper against per-point OutlyingDegree, bitwise.
+/// batch wrapper against per-point OutlyingDegree, bitwise. With `oracle`
+/// set, every answer must also equal the oracle's Search / OutlyingDegree.
 void ExpectEngineBatchMatches(const knn::KnnEngine& engine,
-                              const data::Dataset& ds, uint64_t seed) {
+                              const data::Dataset& ds, uint64_t seed,
+                              const knn::KnnEngine* oracle = nullptr) {
   Rng rng(seed);
   const int d = ds.num_dims();
   for (size_t batch : {1u, 4u, 8u, 11u}) {
@@ -80,6 +84,11 @@ void ExpectEngineBatchMatches(const knn::KnnEngine& engine,
       query.exclude = queries[b].exclude;
       EXPECT_EQ(results[b], engine.Search(query)) << "query " << b;
       EXPECT_EQ(ods[b], knn::OutlyingDegree(engine, query)) << "query " << b;
+      if (oracle != nullptr) {
+        EXPECT_EQ(results[b], oracle->Search(query)) << "oracle, query " << b;
+        EXPECT_EQ(ods[b], knn::OutlyingDegree(*oracle, query))
+            << "oracle, query " << b;
+      }
     }
   }
 }
@@ -103,10 +112,14 @@ TEST(IndexBatchTest, LinearScanBatchMatchesPerPoint) {
 
 TEST(IndexBatchTest, XTreeBatchMatchesPerPoint) {
   data::Dataset ds = MakeData(42, 500, 6);
-  auto tree = XTree::BulkLoad(ds, MetricKind::kL2, {});
-  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  XTreeKnn engine(*tree);
-  ExpectEngineBatchMatches(engine, ds, 200);
+  for (MetricKind metric :
+       {MetricKind::kL2, MetricKind::kL1, MetricKind::kLInf}) {
+    auto tree = XTree::BulkLoad(ds, metric, {});
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    XTreeKnn engine(*tree);
+    const knn::LinearScanKnn oracle(ds, metric);
+    ExpectEngineBatchMatches(engine, ds, 200, &oracle);
+  }
 }
 
 // Delta rows (appended after the structures were built) and tombstones
@@ -132,7 +145,7 @@ TEST(IndexBatchTest, BatchMatchesPerPointWithDeltaAndTombstones) {
   XTreeKnn xtree_engine(*tree);
   knn::LinearScanKnn linear_engine(ds, MetricKind::kL2);
   ExpectEngineBatchMatches(linear_engine, ds, 500);
-  ExpectEngineBatchMatches(xtree_engine, ds, 501);
+  ExpectEngineBatchMatches(xtree_engine, ds, 501, &linear_engine);
 }
 
 }  // namespace

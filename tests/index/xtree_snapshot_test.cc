@@ -3,11 +3,13 @@
 // LinearScanKnn over the same dataset, and the backend counters must show
 // which path served (kernel scans over the snapshot, the delta merge, the
 // scalar row path once Insert/Remove dropped the snapshot, the counted
-// stale fallback after an in-place overwrite).
+// stale fallback after an in-place overwrite). The kernel and the scalar
+// leaf scans must also do the same counted work for the same probes.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -77,6 +79,45 @@ void ExpectMatchesLinearScan(const XTree& tree, const data::Dataset& ds,
   ASSERT_TRUE(tree.CheckInvariants().ok()) << tree.CheckInvariants().ToString();
 }
 
+/// Answers and counter deltas of a fixed probe set: every probe through Knn
+/// with and without its self-exclusion, then all of them as one KnnBatch.
+struct ProbeRun {
+  std::vector<std::vector<Neighbor>> answers;
+  uint64_t node_accesses = 0;
+  uint64_t distance_computations = 0;
+  uint64_t kernel_scans = 0;
+  uint64_t scalar_scans = 0;
+};
+
+ProbeRun RunFixedProbes(const XTree& tree, const data::Dataset& ds) {
+  const std::vector<data::PointId> ids = {0, 42, 97, 222, 333, 419, 438};
+  const std::vector<Subspace> subspaces = {
+      Subspace(0b00011), Subspace(0b10101), Subspace::Full(kDims)};
+  const knn::KnnBackendStats before = tree.backend_stats();
+  ProbeRun run;
+  for (const Subspace& subspace : subspaces) {
+    for (int k : {1, 3, 7}) {
+      std::vector<BatchPointQuery> batch;
+      for (data::PointId id : ids) {
+        EXPECT_TRUE(ds.IsLive(id)) << "probe " << id;
+        run.answers.push_back(tree.Knn({ds.Row(id), subspace, k, id}));
+        run.answers.push_back(tree.Knn({ds.Row(id), subspace, k, {}}));
+        batch.push_back({ds.Row(id), id});
+      }
+      for (auto& answer : tree.KnnBatch(batch, subspace, k)) {
+        run.answers.push_back(std::move(answer));
+      }
+    }
+  }
+  const knn::KnnBackendStats after = tree.backend_stats();
+  run.node_accesses = after.node_accesses - before.node_accesses;
+  run.distance_computations =
+      after.distance_computations - before.distance_computations;
+  run.kernel_scans = after.kernel_scans - before.kernel_scans;
+  run.scalar_scans = after.scalar_scans - before.scalar_scans;
+  return run;
+}
+
 class XTreeSnapshotTest : public ::testing::TestWithParam<MetricKind> {};
 
 TEST_P(XTreeSnapshotTest, EveryStageMatchesTheLinearScan) {
@@ -142,6 +183,11 @@ TEST_P(XTreeSnapshotTest, EveryStageMatchesTheLinearScan) {
   EXPECT_GT(after.kernel_scans, before.kernel_scans);
   EXPECT_EQ(after.scalar_scans, before.scalar_scans);
 
+  // The fixed probes on the kernel path, replayed below on the scalar one.
+  const ProbeRun kernel_run = RunFixedProbes(tree, ds);
+  EXPECT_GT(kernel_run.kernel_scans, 0u);
+  EXPECT_EQ(kernel_run.scalar_scans, 0u);
+
   // An in-place overwrite makes the snapshot unusable: counted, and the
   // scalar row path answers. The value written is the row's own, so the
   // tree's boxes (not maintained under Set) still cover it.
@@ -151,6 +197,16 @@ TEST_P(XTreeSnapshotTest, EveryStageMatchesTheLinearScan) {
   after = tree.backend_stats();
   EXPECT_GT(after.stale_fallbacks, before.stale_fallbacks);
   EXPECT_GT(after.scalar_scans, before.scalar_scans);
+
+  // Same geometry, other leaf scan: the same answers for the same counted
+  // work, the excluded self row included on both paths.
+  const ProbeRun scalar_run = RunFixedProbes(tree, ds);
+  EXPECT_EQ(scalar_run.kernel_scans, 0u);
+  EXPECT_EQ(scalar_run.scalar_scans, kernel_run.kernel_scans);
+  EXPECT_EQ(scalar_run.answers, kernel_run.answers);
+  EXPECT_EQ(scalar_run.node_accesses, kernel_run.node_accesses);
+  EXPECT_EQ(scalar_run.distance_computations,
+            kernel_run.distance_computations);
 }
 
 INSTANTIATE_TEST_SUITE_P(Metrics, XTreeSnapshotTest,
