@@ -10,9 +10,9 @@
 //
 //   * outlier_band — every subspace outlying: the search evaluates the
 //     full space and the d singletons, and one propagation decides the
-//     remaining 2^d - d - 2 subspaces (the dense backend sweeps its
-//     materialised level vectors; the sparse backend recounts levels by
-//     enumeration or closed form).
+//     remaining 2^d - d - 2 subspaces (the dense backend intersects its
+//     undecided bitset with the seed closures word by word; the sparse
+//     backend recounts levels by enumeration or closed form).
 //   * inlier — nothing outlying: one full-space evaluation, one downward
 //     propagation deciding everything.
 //
@@ -134,9 +134,10 @@ CaseResult Drive(int d, lattice::LatticeBackend backend, Scenario scenario) {
     auto made = lattice::MakeLatticeStore(d, backend);
     if (!made.ok()) return result;  // supported stays false
     lattice::LatticeStore& state = *made.value();
+    const lattice::SavingFactorTable tsf(d);
     uint64_t evals = 0, steps = 0;
     while (true) {
-      const int m = lattice::BestLevel(priors, state);
+      const int m = tsf.BestLevel(priors, state);
       if (m == 0) break;
       for (uint64_t mask : state.UndecidedMasks(m)) {
         state.MarkEvaluated(Subspace(mask), outlying(mask));

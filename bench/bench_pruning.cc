@@ -51,8 +51,9 @@ void Run() {
   auto state_or = lattice::MakeLatticeStore(kDims);
   if (!state_or.ok()) return;
   lattice::LatticeStore& state = *state_or.value();
+  const lattice::SavingFactorTable tsf(kDims);
   while (true) {
-    int m = lattice::BestLevel(report.priors, state);
+    int m = tsf.BestLevel(report.priors, state);
     if (m == 0) break;
     for (uint64_t mask : state.UndecidedMasks(m)) {
       Subspace s(mask);

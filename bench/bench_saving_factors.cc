@@ -25,15 +25,16 @@ void PrintTables() {
     eval::Table table({"m", "DSF(m)", "USF(m,d)", "TSF(m) fresh lattice"});
     auto state = lattice::MakeLatticeStore(d).value();
     auto priors = lattice::PruningPriors::Flat(d);
+    const lattice::SavingFactorTable tsf(d);
     for (int m = 1; m <= d; ++m) {
       table.AddRow({std::to_string(m),
                     std::to_string(DownwardSavingFactor(m)),
                     std::to_string(UpwardSavingFactor(m, d)),
                     eval::FormatDouble(
-                        lattice::TotalSavingFactor(m, priors, *state), 1)});
+                        tsf.TotalSavingFactor(m, priors, *state), 1)});
     }
     std::printf("d = %d (first level chosen by the dynamic search: %d)\n", d,
-                lattice::BestLevel(priors, *state));
+                tsf.BestLevel(priors, *state));
     table.Print();
     std::printf("\n");
   }
@@ -43,10 +44,11 @@ void BM_TotalSavingFactor(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
   auto lattice_state = lattice::MakeLatticeStore(d).value();
   auto priors = lattice::PruningPriors::Flat(d);
+  const lattice::SavingFactorTable tsf(d);
   for (auto _ : state) {
     for (int m = 1; m <= d; ++m) {
       benchmark::DoNotOptimize(
-          lattice::TotalSavingFactor(m, priors, *lattice_state));
+          tsf.TotalSavingFactor(m, priors, *lattice_state));
     }
   }
 }
@@ -56,8 +58,9 @@ void BM_BestLevel(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
   auto lattice_state = lattice::MakeLatticeStore(d).value();
   auto priors = lattice::PruningPriors::Flat(d);
+  const lattice::SavingFactorTable tsf(d);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lattice::BestLevel(priors, *lattice_state));
+    benchmark::DoNotOptimize(tsf.BestLevel(priors, *lattice_state));
   }
 }
 BENCHMARK(BM_BestLevel)->Arg(8)->Arg(16);

@@ -23,8 +23,6 @@ Subspace Subspace::FromOneBased(const std::vector<int>& dims) {
   return Subspace(mask);
 }
 
-int Subspace::Dimensionality() const { return std::popcount(mask_); }
-
 std::vector<int> Subspace::Dims() const {
   std::vector<int> out;
   out.reserve(Dimensionality());

@@ -5,6 +5,7 @@
 #ifndef HOS_COMMON_SUBSPACE_H_
 #define HOS_COMMON_SUBSPACE_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,7 +39,7 @@ class Subspace {
   uint64_t mask() const { return mask_; }
 
   /// Number of participating dimensions.
-  int Dimensionality() const;
+  int Dimensionality() const { return std::popcount(mask_); }
 
   bool Empty() const { return mask_ == 0; }
 

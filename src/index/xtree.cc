@@ -850,11 +850,13 @@ std::vector<knn::Neighbor> XTree::RangeSearch(std::span<const double> point,
         }
         return;
       }
+      // Every leaf position counts, tombstones included, as on the kernel
+      // path above.
+      distance_count_ += node->points.size();
       for (data::PointId id : node->points) {
         if (filter_dead && !dataset_->IsLive(id)) continue;
         double dist = knn::SubspaceDistance(point, dataset_->Row(id),
                                             subspace, metric_);
-        ++distance_count_;
         if (dist <= radius) out.push_back({id, dist});
       }
     } else {

@@ -1,7 +1,9 @@
 #include "src/lattice/lattice_store.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <numeric>
 #include <string>
 
 #include "src/lattice/dense_lattice_store.h"
@@ -67,23 +69,40 @@ namespace {
 
 /// The minimal elements of `subspaces` (or, with `maximal`, the maximal
 /// ones), sorted by dimensionality — ascending for minimal, descending for
-/// maximal — then by mask. In that order an element can only be dominated
-/// by one kept before it.
-std::vector<Subspace> Antichain(std::vector<Subspace> subspaces,
+/// maximal — then by mask. Levels are visited in that order, so an element
+/// can only be dominated by one kept before it; a duplicate is dominated by
+/// its first copy.
+std::vector<Subspace> Antichain(const std::vector<Subspace>& subspaces,
                                 bool maximal) {
-  std::sort(subspaces.begin(), subspaces.end(),
-            [maximal](const Subspace& a, const Subspace& b) {
-              const int da = a.Dimensionality(), db = b.Dimensionality();
-              if (da != db) return maximal ? da > db : da < db;
-              return a.mask() < b.mask();
-            });
-  std::vector<Subspace> kept;
+  // Bucket the masks by level with a counting sort — level m's masks land
+  // in by_level[start[m], start[m + 1]) — so only each level's survivors
+  // need sorting by mask.
+  constexpr int kLevels = kMaxLatticeDims + 1;
+  std::array<size_t, kLevels + 1> start{};
+  for (const Subspace& s : subspaces) ++start[s.Dimensionality() + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<uint64_t> by_level(subspaces.size());
+  std::array<size_t, kLevels + 1> fill = start;
   for (const Subspace& s : subspaces) {
-    if (std::none_of(kept.begin(), kept.end(), [&](const Subspace& k) {
-          return maximal ? s.IsSubsetOf(k) : k.IsSubsetOf(s);
-        })) {
-      kept.push_back(s);
+    by_level[fill[s.Dimensionality()]++] = s.mask();
+  }
+
+  std::vector<Subspace> kept;
+  for (int i = 0; i < kLevels; ++i) {
+    const int m = maximal ? kLevels - 1 - i : i;
+    const size_t first = kept.size();
+    for (size_t j = start[m]; j < start[m + 1]; ++j) {
+      const Subspace s(by_level[j]);
+      if (std::none_of(kept.begin(), kept.end(), [&](const Subspace& k) {
+            return maximal ? s.IsSubsetOf(k) : k.IsSubsetOf(s);
+          })) {
+        kept.push_back(s);
+      }
     }
+    std::sort(kept.begin() + first, kept.end(),
+              [](const Subspace& a, const Subspace& b) {
+                return a.mask() < b.mask();
+              });
   }
   return kept;
 }

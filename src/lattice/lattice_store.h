@@ -16,9 +16,10 @@
 // the pending-seed queues Propagate() consumes. Marking a verdict is O(1).
 // Backends differ only in how per-mask state is held:
 //
-//  * DenseLatticeStore  — a flat 2^d byte array plus materialised per-level
-//    undecided vectors. O(1) state lookup; memory 2^d, so it is capped at
-//    d <= kDenseMaxDims (22). Propagate costs O(d * 2^d / 64 + undecided).
+//  * DenseLatticeStore  — a flat 2^d byte array plus a 2^d-bit undecided
+//    set. O(1) state lookup; memory 2^d, so it is capped at
+//    d <= kDenseMaxDims (22). Propagate costs
+//    O(d * 2^d / 64 + newly decided).
 //  * SparseLatticeStore — a hash map holding only explicitly evaluated
 //    masks; everything else is classified on demand against the seed
 //    closures, undecided sets are enumerated lazily, and per-level tallies
@@ -145,10 +146,13 @@ class LatticeStore {
   }
 
   /// Minimal outlying seeds discovered so far (no seed is a superset of
-  /// another), sorted by (dimensionality, mask). When the search is
-  /// complete these generate the full outlying set as their up-closure.
-  /// Derived from the evaluated outliers on each call, so exact at any
-  /// point of a search; O(evaluated * seeds).
+  /// another), sorted by (dimensionality, mask) — exactly
+  /// filter::MinimalSubspaces(evaluated_outlier_list()), so once the search
+  /// is complete these are its minimal outlying subspaces, generating the
+  /// full outlying set as their up-closure. Derived from the evaluated
+  /// outliers on each call, so exact at any point of a search, monotone
+  /// verdicts or not. A counting sort by level, then
+  /// O(evaluated * seeds) subset tests; the same code serves both backends.
   std::vector<Subspace> minimal_outlier_seeds() const;
   /// Maximal non-outlying seeds (no seed is a subset of another), sorted
   /// by descending dimensionality, then mask. Derived like

@@ -16,7 +16,6 @@
 
 #include "src/common/combinatorics.h"
 #include "src/common/timer.h"
-#include "src/filter/minimal_filter.h"
 #include "src/service/thread_pool.h"
 
 namespace hos::search {
@@ -74,8 +73,7 @@ SearchOutcome AssembleOutcome(const PointRun& run, double threshold,
   outcome.num_dims = d;
   outcome.threshold = threshold;
   outcome.evaluated_outliers = state.evaluated_outlier_list();
-  outcome.minimal_outlying_subspaces =
-      filter::MinimalSubspaces(state.evaluated_outlier_list());
+  outcome.minimal_outlying_subspaces = state.minimal_outlier_seeds();
   outcome.outlier_fraction.assign(d + 1, 0.0);
   for (int m = 1; m <= d; ++m) {
     outcome.outlier_fraction[m] =
@@ -155,10 +153,22 @@ void ForEachIndex(service::ThreadPool* pool, size_t count, const Fn& fn) {
 
 }  // namespace
 
+BatchFrontierRunner::BatchFrontierRunner(int num_dims,
+                                         const lattice::PruningPriors* priors,
+                                         LevelOrder order)
+    : num_dims_(num_dims), priors_(priors), order_(order) {
+  // Out-of-range dimensionalities fail every point in Run, before any
+  // level is scored.
+  if (order_ == LevelOrder::kTotalSavingFactor && num_dims >= 1 &&
+      num_dims <= lattice::kMaxLatticeDims) {
+    saving_factors_.emplace(num_dims);
+  }
+}
+
 int BatchFrontierRunner::NextLevel(const lattice::LatticeStore& state) const {
   switch (order_) {
     case LevelOrder::kTotalSavingFactor:
-      return lattice::BestLevel(*priors_, state);
+      return saving_factors_->BestLevel(*priors_, state);
     case LevelOrder::kBottomUp:
       for (int m = 1; m <= num_dims_; ++m) {
         if (state.UndecidedCount(m) > 0) return m;
@@ -217,18 +227,19 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
           : std::string());
 
   // Round scratch, reused across rounds. `open` holds one entry per
-  // (point, wave slot) the memo and the density filter left open; after
-  // phase 1 it is sorted by (mask, point), so the points needing the same
+  // (point, wave slot) the memo and the density filter left open, in
+  // (point, slot) order; after the store probe it keeps only the store's
+  // misses, sorted by (mask, point), so the points needing the same
   // subspace form one contiguous group. Mask order gives the engine, the
-  // tracer and the store a deterministic order (OD values are
+  // tracer and the store writes a deterministic order (OD values are
   // order-independent regardless).
   struct OpenEval {
     uint64_t mask;
     size_t q;
     size_t slot;
   };
-  /// One fused kNN pass: the points [begin, end) of `compute` / `queries`
-  /// / `fresh` that need `mask`.
+  /// One fused kNN pass: the points [begin, end) of `open` / `queries` /
+  /// `fresh` that need `mask`.
   struct KnnPass {
     uint64_t mask;
     size_t begin;
@@ -236,11 +247,9 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
   };
   std::vector<OpenEval> open;
   std::vector<SharedOdStore::OdKey> probe_keys;
-  std::vector<size_t> probe_owner;  // index into `open` per probe key
   std::vector<double> probe_values;
   std::vector<uint8_t> probe_found;
   std::vector<KnnPass> passes;
-  std::vector<size_t> compute;  // index into `open` per pass point
   std::vector<knn::BatchPointQuery> queries;
   std::vector<double> fresh;
   std::vector<SharedOdStore::OdKey> store_keys;
@@ -289,7 +298,9 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
     for (size_t q = 0; q < runs.size(); ++q) {
       PointRun& run = runs[q];
       if (run.done) continue;
-      run.wave = run.state->UndecidedMasks(run.level);
+      run.wave.clear();
+      run.state->ForEachUndecided(
+          run.level, [&run](uint64_t mask) { run.wave.push_back(mask); });
       run.values.assign(run.wave.size(), 0.0);
       run.resolved.assign(run.wave.size(), 0);
       for (size_t i = 0; i < run.wave.size(); ++i) {
@@ -320,71 +331,71 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
     }
 
     // Phase 2 — one multi-probe of the shared store for every shareable
-    // open evaluation of the round, then per distinct mask ONE fused kNN
-    // pass for what the store did not answer, then one multi-store
-    // write-back of everything computed. Each (point, mask) still sees the
-    // sequential evaluator's store-probe → kNN → store-write order, and no
-    // two masks share a store key, so batching the probes and writes
-    // across masks changes no value and no hit (only LRU recency, see the
-    // header). The fusion is where a block recovers B-1 index traversals
-    // per coinciding subspace.
-    std::sort(open.begin(), open.end(),
-              [](const OpenEval& a, const OpenEval& b) {
-                return a.mask != b.mask ? a.mask < b.mask : a.q < b.q;
-              });
-    probe_keys.clear();
-    probe_owner.clear();
+    // open evaluation of the round, in (point, slot) order, then per
+    // distinct mask ONE fused kNN pass for what the store did not answer,
+    // then one multi-store write-back of everything computed. Each
+    // (point, mask) still sees the sequential evaluator's store-probe →
+    // kNN → store-write order, and no two masks share a store key, so
+    // batching the probes and writes across masks changes no value and no
+    // hit (only LRU recency, see the header). The fusion is where a block
+    // recovers B-1 index traversals per coinciding subspace.
     SharedOdStore* store = nullptr;
-    for (size_t t = 0; t < open.size(); ++t) {
-      const OdEvaluator& od = *runs[open[t].q].od;
+    probe_keys.clear();
+    for (const OpenEval& e : open) {
+      const OdEvaluator& od = *runs[e.q].od;
       if (!od.shareable()) continue;
       assert(store == nullptr || store == od.shared_store());
       store = od.shared_store();
-      probe_keys.push_back({*od.exclude(), open[t].mask});
-      probe_owner.push_back(t);
+      probe_keys.push_back({*od.exclude(), e.mask});
     }
     if (!probe_keys.empty()) {
       probe_values.assign(probe_keys.size(), 0.0);
       probe_found.assign(probe_keys.size(), 0);
       store->LookupMulti(probe_keys, probe_values, probe_found);
-      for (size_t k = 0; k < probe_keys.size(); ++k) {
-        if (!probe_found[k]) continue;
-        const OpenEval& e = open[probe_owner[k]];
+      // Deposit the hits and keep only the misses in `open` (the probe
+      // keys follow the shareable entries of `open` in order).
+      size_t keep = 0;
+      size_t key = 0;
+      for (const OpenEval& e : open) {
         PointRun& run = runs[e.q];
-        run.od->Deposit(e.mask, probe_values[k],
-                        OdEvaluator::ValueSource::kSharedStoreHit);
-        run.values[e.slot] = probe_values[k];
-        run.resolved[e.slot] = 1;
+        if (run.od->shareable() && probe_found[key++]) {
+          const double od = probe_values[key - 1];
+          run.od->Deposit(e.mask, od,
+                          OdEvaluator::ValueSource::kSharedStoreHit);
+          run.values[e.slot] = od;
+          run.resolved[e.slot] = 1;
+        } else {
+          open[keep++] = e;
+        }
       }
+      open.resize(keep);
     }
 
-    // Group what the store left open into one pass per distinct mask (a
-    // contiguous run of `open`).
+    // Group the misses into one pass per distinct mask (a contiguous run
+    // of `open` once sorted). A fully warm round has nothing to sort.
+    std::sort(open.begin(), open.end(),
+              [](const OpenEval& a, const OpenEval& b) {
+                return a.mask != b.mask ? a.mask < b.mask : a.q < b.q;
+              });
     passes.clear();
-    compute.clear();
     queries.clear();
     for (size_t begin = 0, end; begin < open.size(); begin = end) {
       const uint64_t mask = open[begin].mask;
       end = begin + 1;
       while (end < open.size() && open[end].mask == mask) ++end;
-      const size_t first = compute.size();
-      for (size_t t = begin; t < end; ++t) {
-        const PointRun& run = runs[open[t].q];
-        if (run.resolved[open[t].slot]) continue;  // store hit
-        compute.push_back(t);
-        queries.push_back({run.od->point(), run.od->exclude()});
-      }
-      if (compute.size() > first) {
-        passes.push_back({mask, first, compute.size()});
-      }
+      passes.push_back({mask, begin, end});
+    }
+    for (const OpenEval& e : open) {
+      const OdEvaluator& od = *runs[e.q].od;
+      queries.push_back({od.point(), od.exclude()});
     }
 
     // The passes, fanned out across the pool when there is one: each
     // writes only its own slots of `fresh`.
-    fresh.assign(compute.size(), 0.0);
+    fresh.assign(open.size(), 0.0);
     ForEachIndex(exec.pool, passes.size(), [&](size_t p) {
       const KnnPass& pass = passes[p];
-      const OdEvaluator& lead = *runs[open[compute[pass.begin]].q].od;
+      const OdEvaluator& lead = *runs[open[pass.begin].q].od;
       const size_t points = pass.end - pass.begin;
       std::string detail;
       if (tracer != nullptr) {
@@ -406,8 +417,8 @@ std::vector<Result<SearchOutcome>> BatchFrontierRunner::Run(
     // Merge, calling thread, in mask order.
     store_keys.clear();
     store_values.clear();
-    for (size_t c = 0; c < compute.size(); ++c) {
-      const OpenEval& e = open[compute[c]];
+    for (size_t c = 0; c < open.size(); ++c) {
+      const OpenEval& e = open[c];
       PointRun& run = runs[e.q];
       run.od->Deposit(e.mask, fresh[c], OdEvaluator::ValueSource::kComputed);
       run.values[e.slot] = fresh[c];

@@ -40,16 +40,20 @@
 //    runs with different cache warmth already do). Values never change —
 //    the store only ever returns bitwise-identical memoised doubles.
 //  * Store traffic is batched per round, not per subspace: one
-//    LookupMulti for every open (point, mask) of the round, one
-//    StoreMulti for everything the round computed. No two masks share a
-//    store key, so this can change only the store's LRU recency order —
-//    and through it, at capacity, which entries are evicted — never a
-//    value. Every point must use the same store (or none).
+//    LookupMulti for every open (point, mask) of the round, probed in
+//    (point, slot) order, and one StoreMulti for everything the round
+//    computed, in (mask, point) order. Only the store's misses are sorted
+//    by (mask, point) to form the fused kNN passes, so a fully warm round
+//    sorts nothing. No two masks share a store key, so this can change
+//    only the store's LRU recency order — and through it, at capacity,
+//    which entries are evicted — never a value. Every point must use the
+//    same store (or none).
 
 #ifndef HOS_SEARCH_BATCH_FRONTIER_H_
 #define HOS_SEARCH_BATCH_FRONTIER_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -134,8 +138,7 @@ class BatchFrontierRunner {
   /// `num_dims` dimensions (checked in Run), the static orders ignore it
   /// (null is fine).
   BatchFrontierRunner(int num_dims, const lattice::PruningPriors* priors,
-                      LevelOrder order = LevelOrder::kTotalSavingFactor)
-      : num_dims_(num_dims), priors_(priors), order_(order) {}
+                      LevelOrder order = LevelOrder::kTotalSavingFactor);
 
   /// Walks the lattice for every evaluator in `ods` (all bound to the same
   /// engine and k; one per query point) and returns one outcome per
@@ -160,6 +163,9 @@ class BatchFrontierRunner {
   int num_dims_;
   const lattice::PruningPriors* priors_;
   LevelOrder order_;
+  /// The TSF order's per-level constants, computed once per runner (empty
+  /// for the static orders and for a dimensionality Run rejects).
+  std::optional<lattice::SavingFactorTable> saving_factors_;
 };
 
 }  // namespace hos::search

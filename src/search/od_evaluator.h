@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/subspace.h"
@@ -63,7 +62,9 @@ class SharedOdStore {
 
 /// Bound to one query point; caches OD values by subspace mask so repeated
 /// probes of the same subspace (e.g. by different search strategies in
-/// tests) cost one kNN query only.
+/// tests) cost one kNN query only. The memo is a flat open-addressing
+/// table: a walk deposits hundreds of values per point, with no node
+/// allocation per value.
 ///
 /// Thread safety: not thread-safe. BatchFrontierRunner fans the *kNN
 /// passes* of a round out across worker threads — the workers only read
@@ -84,15 +85,19 @@ class OdEvaluator {
         shared_store_(shared_store) {}
 
   /// OD(p, s): sum of distances to the k nearest neighbours in s (paper §2).
+  /// Memoised for every non-empty s; the empty subspace is evaluated (and
+  /// counted) on every call.
   double Evaluate(const Subspace& subspace);
 
   /// True and fills `*od` when `mask` is already in the per-query memo.
-  /// Performs no kNN work and no shared-store probe. Safe to call
-  /// concurrently with other const reads (but not with Evaluate/Deposit).
+  /// The empty mask is never memoised, so it always misses. Performs no
+  /// kNN work and no shared-store probe. Safe to call concurrently with
+  /// other const reads (but not with Evaluate/Deposit).
   bool LookupLocal(uint64_t mask, double* od) const {
-    auto it = cache_.find(mask);
-    if (it == cache_.end()) return false;
-    *od = it->second;
+    if (mask == 0 || memo_.empty()) return false;
+    const MemoSlot& slot = memo_[FindSlot(mask)];
+    if (slot.mask != mask) return false;
+    *od = slot.od;
     return true;
   }
 
@@ -105,8 +110,8 @@ class OdEvaluator {
   /// Records an externally produced OD value (BatchFrontierRunner's merge
   /// path). The value must be exactly what Evaluate(mask) would return —
   /// OD is a pure function, so values from fused passes and worker threads
-  /// qualify.
-  /// No-op when the mask is already memoised.
+  /// qualify. No-op when the mask is already memoised, and for the empty
+  /// mask, which the memo never holds.
   void Deposit(uint64_t mask, double od, ValueSource source);
 
   /// Number of distinct subspaces actually evaluated (cache misses) — the
@@ -134,7 +139,32 @@ class OdEvaluator {
   int k_;
   std::optional<data::PointId> exclude_;
   SharedOdStore* shared_store_;
-  std::unordered_map<uint64_t, double> cache_;
+  // The per-query memo: linear probing from a Fibonacci hash of the mask.
+  // Subspace masks are never 0, so mask 0 marks an empty slot. The
+  // capacity is a power of two (0 until the first insert, then 64,
+  // doubling) and the table is at most half full.
+  struct MemoSlot {
+    uint64_t mask = 0;
+    double od = 0.0;
+  };
+
+  /// The slot holding `mask`, or the empty slot ending its probe run.
+  /// Requires a non-empty table.
+  size_t FindSlot(uint64_t mask) const {
+    const size_t wrap = memo_.size() - 1;
+    size_t i = static_cast<size_t>((mask * 0x9E3779B97F4A7C15ULL) >>
+                                   memo_shift_);
+    while (memo_[i].mask != mask && memo_[i].mask != 0) i = (i + 1) & wrap;
+    return i;
+  }
+
+  /// Memoises OD(mask) = od; false (and nothing written) when `mask` is
+  /// already memoised or is 0, the empty-slot marker.
+  bool MemoInsert(uint64_t mask, double od);
+
+  std::vector<MemoSlot> memo_;
+  int memo_shift_ = 64;  // 64 - log2(memo_.size())
+  size_t memo_size_ = 0;
   uint64_t num_evaluations_ = 0;
   uint64_t num_shared_hits_ = 0;
 };

@@ -4,7 +4,8 @@
 // which path served (kernel scans over the snapshot, the delta merge, the
 // scalar row path once Insert/Remove dropped the snapshot, the counted
 // stale fallback after an in-place overwrite). The kernel and the scalar
-// leaf scans must also do the same counted work for the same probes.
+// leaf scans must also do the same counted work for the same probes, kNN
+// and range queries alike.
 
 #include <gtest/gtest.h>
 
@@ -204,6 +205,62 @@ TEST_P(XTreeSnapshotTest, EveryStageMatchesTheLinearScan) {
   EXPECT_EQ(scalar_run.kernel_scans, 0u);
   EXPECT_EQ(scalar_run.scalar_scans, kernel_run.kernel_scans);
   EXPECT_EQ(scalar_run.answers, kernel_run.answers);
+  EXPECT_EQ(scalar_run.node_accesses, kernel_run.node_accesses);
+  EXPECT_EQ(scalar_run.distance_computations,
+            kernel_run.distance_computations);
+}
+
+/// Hits and counter deltas of one fixed batch of range queries.
+struct RangeRun {
+  std::vector<std::vector<Neighbor>> hits;
+  uint64_t node_accesses = 0;
+  uint64_t distance_computations = 0;
+  uint64_t kernel_scans = 0;
+  uint64_t scalar_scans = 0;
+};
+
+RangeRun RunRangeQueries(const XTree& tree, const data::Dataset& ds) {
+  Rng rng(6767);
+  const knn::KnnBackendStats before = tree.backend_stats();
+  RangeRun run;
+  for (int probe = 0; probe < 67; ++probe) {
+    const Subspace subspace = RandomSubspace(&rng);
+    const data::PointId self = RandomLiveRow(ds, &rng);
+    run.hits.push_back(tree.RangeSearch(ds.Row(self), subspace, 0.2));
+  }
+  const knn::KnnBackendStats after = tree.backend_stats();
+  run.node_accesses = after.node_accesses - before.node_accesses;
+  run.distance_computations =
+      after.distance_computations - before.distance_computations;
+  run.kernel_scans = after.kernel_scans - before.kernel_scans;
+  run.scalar_scans = after.scalar_scans - before.scalar_scans;
+  return run;
+}
+
+// RangeSearch counts every leaf position it examines, tombstoned rows
+// included, on the kernel and on the scalar leaf scan alike.
+TEST_P(XTreeSnapshotTest, RangeSearchCountsTombstonesOnBothLeafScans) {
+  Rng rng(2000 + static_cast<int>(GetParam()));
+  data::Dataset ds = data::GenerateUniform(2000, kDims, &rng);
+  auto built = XTree::BulkLoad(ds, GetParam());
+  ASSERT_TRUE(built.ok());
+  const XTree& tree = built.value();
+  std::vector<data::PointId> dead;
+  for (data::PointId id = 2; id < ds.size(); id += 3) dead.push_back(id);
+  ASSERT_TRUE(ds.DeleteRows(dead).ok());
+
+  const RangeRun kernel_run = RunRangeQueries(tree, ds);
+  EXPECT_GT(kernel_run.kernel_scans, 0u);
+  EXPECT_EQ(kernel_run.scalar_scans, 0u);
+
+  // An in-place overwrite with the row's own value: the snapshot goes
+  // stale, the geometry does not change.
+  ds.Set(1, 0, ds.At(1, 0));
+  const RangeRun scalar_run = RunRangeQueries(tree, ds);
+  EXPECT_EQ(scalar_run.kernel_scans, 0u);
+  EXPECT_EQ(scalar_run.scalar_scans, kernel_run.kernel_scans);
+
+  EXPECT_EQ(scalar_run.hits, kernel_run.hits);
   EXPECT_EQ(scalar_run.node_accesses, kernel_run.node_accesses);
   EXPECT_EQ(scalar_run.distance_computations,
             kernel_run.distance_computations);

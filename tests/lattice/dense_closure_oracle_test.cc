@@ -3,8 +3,10 @@
 // closures), are propagated by DenseLatticeStore and by a brute-force
 // pairwise oracle, and every mask's state, every per-level tally, every
 // undecided list and both derived seed antichains must agree after each
-// round. d runs over 1..12 — the sub-word d < 6 lattices and the d = 6/7
-// word boundary included — plus d = kDenseMaxDims.
+// round; the store's minimal outlying subspaces must also equal
+// filter::MinimalSubspaces over the evaluated outliers, element for element.
+// d runs over 1..12 — the sub-word d < 6 lattices and the d = 6/7 word
+// boundary included — plus d = kDenseMaxDims.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/filter/minimal_filter.h"
 #include "src/lattice/dense_lattice_store.h"
 
 namespace hos::lattice {
@@ -93,6 +96,8 @@ void ExpectMatchesOracle(const DenseLatticeStore& store, const Oracle& oracle,
   }
   EXPECT_EQ(store.minimal_outlier_seeds(),
             OracleAntichain(oracle.evaluated_outliers, true));
+  EXPECT_EQ(store.minimal_outlier_seeds(),
+            filter::MinimalSubspaces(store.evaluated_outlier_list()));
   EXPECT_EQ(store.maximal_non_outlier_seeds(),
             OracleAntichain(oracle.evaluated_non_outliers, false));
 }
@@ -158,6 +163,46 @@ TEST(DenseClosureOracleTest, EveryDimensionUpToTwelve) {
   }
   // The draws must actually exercise the both-closures tie-break.
   EXPECT_GT(in_both, 0u);
+}
+
+/// Every level-m mask whose state is undecided, ascending, by brute force.
+std::vector<uint64_t> BruteForceUndecided(const DenseLatticeStore& store,
+                                          int m) {
+  std::vector<uint64_t> out;
+  for (uint64_t mask = 1; mask < (uint64_t{1} << store.num_dims()); ++mask) {
+    if (std::popcount(mask) == m &&
+        store.StateOf(Subspace(mask)) == SubspaceState::kUndecided) {
+      out.push_back(mask);
+    }
+  }
+  return out;
+}
+
+// The sub-word (d < 6), exactly-one-word (d = 6) and two-word (d = 7)
+// undecided bitsets: fresh, after marks, and after propagation.
+TEST(DenseClosureOracleTest, UndecidedMasksAtWordBoundaries) {
+  for (int d : {1, 5, 6, 7}) {
+    SCOPED_TRACE("d=" + std::to_string(d));
+    DenseLatticeStore store(d);
+    auto expect_brute_force = [&] {
+      for (int m = 1; m <= d; ++m) {
+        EXPECT_EQ(store.UndecidedMasks(m), BruteForceUndecided(store, m))
+            << "m=" << m;
+      }
+    };
+    expect_brute_force();
+    Rng rng(700 + d);
+    for (int round = 0; round < 3; ++round) {
+      const std::vector<uint64_t> open =
+          store.UndecidedMasks(1 + static_cast<int>(rng.UniformInt(0, d - 1)));
+      if (open.empty()) continue;
+      const uint64_t mask = open[rng.UniformInt(0, open.size() - 1)];
+      store.MarkEvaluated(Subspace(mask), rng.Bernoulli(0.5));
+      expect_brute_force();
+      store.Propagate();
+      expect_brute_force();
+    }
+  }
 }
 
 TEST(DenseClosureOracleTest, DenseCap) {

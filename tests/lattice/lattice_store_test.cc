@@ -12,6 +12,8 @@
 #include <string>
 
 #include "src/common/combinatorics.h"
+#include "src/common/rng.h"
+#include "src/filter/minimal_filter.h"
 #include "src/lattice/dense_lattice_store.h"
 #include "src/lattice/sparse_lattice_store.h"
 
@@ -229,6 +231,39 @@ TEST_P(LatticeStoreTest, CounterClosureOverFullLattice) {
   }
 }
 
+/// Rounds of verdicts on random masks drawn from levels 1..max_level, each
+/// followed by Propagate; after every round the store's minimal outlying
+/// seeds must be exactly what the result refinement makes of its evaluated
+/// outliers. `verdict(mask, rng)` decides each mark.
+template <typename Verdict>
+void ExpectMinimalSeedsMatchFilter(LatticeStore& state, int max_level,
+                                   uint64_t seed, const Verdict& verdict) {
+  Rng rng(seed);
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 5; ++i) {
+      const int m = static_cast<int>(rng.UniformInt(1, max_level));
+      const std::vector<uint64_t> open = state.UndecidedMasks(m);
+      if (open.empty()) continue;
+      const uint64_t mask = open[rng.UniformInt(0, open.size() - 1)];
+      state.MarkEvaluated(Subspace(mask), verdict(mask, rng));
+    }
+    state.Propagate();
+    ASSERT_EQ(state.minimal_outlier_seeds(),
+              filter::MinimalSubspaces(state.evaluated_outlier_list()))
+        << "round " << round;
+  }
+}
+
+TEST_P(LatticeStoreTest, MinimalSeedsMatchTheMinimalFilter) {
+  // Coin-flip verdicts: deliberately not monotone.
+  for (int d : {1, 3, 6, 7, 10}) {
+    SCOPED_TRACE("d=" + std::to_string(d));
+    auto state = Make(d);
+    ExpectMinimalSeedsMatchFilter(
+        *state, d, 90 + d, [](uint64_t, Rng& rng) { return rng.Bernoulli(0.5); });
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, LatticeStoreTest,
                          ::testing::Values(LatticeBackend::kDense,
                                            LatticeBackend::kSparse),
@@ -325,6 +360,17 @@ TEST(SparseLatticeStoreTest, HighDimensionalMixedSeeds) {
             SubspaceState::kInferredOutlier);
   EXPECT_EQ(state->StateOf(Subspace::FromOneBased({1, 7})),
             SubspaceState::kUndecided);
+}
+
+TEST(SparseLatticeStoreTest, HighDimensionalMinimalSeedsMatchTheFilter) {
+  // Monotone verdicts (outlying iff the mask meets dimensions 1-4), as the
+  // closed-form tallies of the large levels assume; the random evaluation
+  // order still leaves non-minimal outliers among the evaluated ones.
+  auto state = MakeLatticeStore(30).value();
+  ASSERT_EQ(state->name(), "sparse");
+  ExpectMinimalSeedsMatchFilter(
+      *state, /*max_level=*/3, 3030,
+      [](uint64_t mask, Rng&) { return (mask & 0xF) != 0; });
 }
 
 TEST(IsOutlierStateTest, Classification) {

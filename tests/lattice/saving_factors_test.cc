@@ -42,18 +42,19 @@ TEST_P(SavingFactorsTest, FreshLatticeUsesFullFractions) {
   const int d = 4;
   auto state = Make(d);
   auto priors = PruningPriors::Flat(d);
+  const SavingFactorTable tsf(d);
 
   // m = 1: only the upward term, p_up(1) = 1.
-  EXPECT_DOUBLE_EQ(TotalSavingFactor(1, priors, *state),
+  EXPECT_DOUBLE_EQ(tsf.TotalSavingFactor(1, priors, *state),
                    1.0 * static_cast<double>(UpwardSavingFactor(1, d)));
   // m = d: only the downward term, p_down(d) = 1.
-  EXPECT_DOUBLE_EQ(TotalSavingFactor(d, priors, *state),
+  EXPECT_DOUBLE_EQ(tsf.TotalSavingFactor(d, priors, *state),
                    1.0 * static_cast<double>(DownwardSavingFactor(d)));
   // Interior m: both terms at probability 0.5.
   for (int m = 2; m < d; ++m) {
     double expected = 0.5 * static_cast<double>(DownwardSavingFactor(m)) +
                       0.5 * static_cast<double>(UpwardSavingFactor(m, d));
-    EXPECT_DOUBLE_EQ(TotalSavingFactor(m, priors, *state), expected);
+    EXPECT_DOUBLE_EQ(tsf.TotalSavingFactor(m, priors, *state), expected);
   }
 }
 
@@ -64,20 +65,22 @@ TEST_P(SavingFactorsTest, DecidedLevelScoresZero) {
     state->MarkEvaluated(Subspace(mask), false);
   }
   auto priors = PruningPriors::Flat(d);
-  EXPECT_DOUBLE_EQ(TotalSavingFactor(2, priors, *state), 0.0);
+  const SavingFactorTable tsf(d);
+  EXPECT_DOUBLE_EQ(tsf.TotalSavingFactor(2, priors, *state), 0.0);
 }
 
 TEST_P(SavingFactorsTest, FractionsShrinkAsLatticeResolves) {
   const int d = 4;
   auto state = Make(d);
   auto priors = PruningPriors::Flat(d);
-  double before = TotalSavingFactor(2, priors, *state);
+  const SavingFactorTable tsf(d);
+  double before = tsf.TotalSavingFactor(2, priors, *state);
   // Decide all of level 1 as non-outliers: C_down_left(2) drops to 0.
   for (uint64_t mask : MasksOfLevel(d, 1)) {
     state->MarkEvaluated(Subspace(mask), false);
   }
   state->Propagate();
-  double after = TotalSavingFactor(2, priors, *state);
+  double after = tsf.TotalSavingFactor(2, priors, *state);
   EXPECT_LT(after, before);
   // Now the downward term of level 2 is zero; only the upward term remains.
   EXPECT_DOUBLE_EQ(after,
@@ -90,11 +93,12 @@ TEST_P(SavingFactorsTest, FreshLatticePrefersExpectedLevel) {
   for (int d = 2; d <= 10; ++d) {
     auto state = Make(d);
     auto priors = PruningPriors::Flat(d);
-    int best = BestLevel(priors, *state);
+    const SavingFactorTable tsf(d);
+    int best = tsf.BestLevel(priors, *state);
     ASSERT_GE(best, 1);
-    double best_tsf = TotalSavingFactor(best, priors, *state);
+    double best_tsf = tsf.TotalSavingFactor(best, priors, *state);
     for (int m = 1; m <= d; ++m) {
-      EXPECT_LE(TotalSavingFactor(m, priors, *state), best_tsf);
+      EXPECT_LE(tsf.TotalSavingFactor(m, priors, *state), best_tsf);
     }
   }
 }
@@ -103,12 +107,13 @@ TEST_P(SavingFactorsTest, SkipsDecidedLevels) {
   const int d = 3;
   auto state = Make(d);
   auto priors = PruningPriors::Flat(d);
-  int first = BestLevel(priors, *state);
+  const SavingFactorTable tsf(d);
+  int first = tsf.BestLevel(priors, *state);
   for (uint64_t mask : MasksOfLevel(d, first)) {
     state->MarkEvaluated(Subspace(mask), false);
   }
   state->Propagate();
-  int second = BestLevel(priors, *state);
+  int second = tsf.BestLevel(priors, *state);
   EXPECT_NE(second, first);
 }
 
@@ -116,10 +121,11 @@ TEST_P(SavingFactorsTest, ReturnsZeroWhenAllDecided) {
   const int d = 2;
   auto state = Make(d);
   auto priors = PruningPriors::Flat(d);
+  const SavingFactorTable tsf(d);
   state->MarkEvaluated(Subspace::FromOneBased({1}), false);
   state->MarkEvaluated(Subspace::FromOneBased({2}), false);
   state->MarkEvaluated(Subspace::FromOneBased({1, 2}), false);
-  EXPECT_EQ(BestLevel(priors, *state), 0);
+  EXPECT_EQ(tsf.BestLevel(priors, *state), 0);
 }
 
 TEST_P(SavingFactorsTest, BookkeepingStaysConsistentAfterBatchMerges) {
@@ -130,6 +136,7 @@ TEST_P(SavingFactorsTest, BookkeepingStaysConsistentAfterBatchMerges) {
   const int d = 7;
   const uint64_t size = uint64_t{1} << d;
   auto priors = PruningPriors::Flat(d);
+  const SavingFactorTable tsf(d);
   for (uint64_t trial_seed : {31u, 32u, 33u}) {
     Rng rng(trial_seed);
     auto state = Make(d);
@@ -168,15 +175,15 @@ TEST_P(SavingFactorsTest, BookkeepingStaysConsistentAfterBatchMerges) {
         ASSERT_EQ(state->RemainingWorkloadBelow(m), below) << "m=" << m;
         ASSERT_EQ(state->RemainingWorkloadAbove(m), above) << "m=" << m;
         if (undecided[m] == 0) {
-          ASSERT_EQ(TotalSavingFactor(m, priors, *state), 0.0);
+          ASSERT_EQ(tsf.TotalSavingFactor(m, priors, *state), 0.0);
         }
       }
-      const int best = BestLevel(priors, *state);
+      const int best = tsf.BestLevel(priors, *state);
       if (best != 0) {
         ASSERT_GT(state->UndecidedCount(best), 0u);
         for (int m = 1; m <= d; ++m) {
-          ASSERT_LE(TotalSavingFactor(m, priors, *state),
-                    TotalSavingFactor(best, priors, *state));
+          ASSERT_LE(tsf.TotalSavingFactor(m, priors, *state),
+                    tsf.TotalSavingFactor(best, priors, *state));
         }
       } else {
         ASSERT_TRUE(state->AllDecided());
@@ -195,7 +202,8 @@ TEST_P(SavingFactorsTest, LearnedPriorsSteerTheChoice) {
   priors.up.assign(d + 1, 0.0);
   priors.down.assign(d + 1, 0.0);
   priors.up[2] = 1.0;
-  EXPECT_EQ(BestLevel(priors, *state), 2);
+  const SavingFactorTable tsf(d);
+  EXPECT_EQ(tsf.BestLevel(priors, *state), 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SavingFactorsTest,
